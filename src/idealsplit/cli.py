@@ -89,8 +89,7 @@ def cmd_split(args):
     fam = None
     try:
         # the gate above (or --force) already decided on validity
-        fam = build_ideal_splitting(inst, strategy=args.strategy,
-                                    validate=False)
+        fam = build_ideal_splitting(inst, validate=False)
     except SplittingObstructionError as exc:
         obstruction = exc
 
@@ -123,8 +122,6 @@ def cmd_split(args):
     if not check.ok:
         _print_results(check.results, args.format)
         return EXIT_CHECK
-    for note in fam.notes:
-        sys.stderr.write("note: %s\n" % note)
     _write_doc(splitting_to_json(fam), args)
     return EXIT_OK
 
@@ -222,8 +219,6 @@ def build_parser():
 
     p = sub.add_parser("split", help="build and verify a splitting family")
     p.add_argument("path")
-    p.add_argument("--strategy", choices=("solver", "greedy", "both"),
-                   default="solver")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exhaustive enumeration")
     p.add_argument("--bound", type=int, default=256,

@@ -149,17 +149,6 @@ class FgGroup:
         return "FgGroup(%s)" % " + ".join(parts)
 
 
-def snf(mat, cols=None):
-    """Smith normal form: returns (U, D, V) with U @ mat @ V = D.
-
-    U and V are unimodular; D is diagonal, nonnegative, with each entry
-    dividing the next.  Pivoting is deterministic (least absolute value,
-    ties by lowest row then column).
-    """
-    d, u, _, v, _ = intmat.smith_form(mat, cols)
-    return u, d, v
-
-
 def _presentation(rel, gens=None):
     """Cokernel data for a relation matrix (rows are relations).
 
@@ -533,18 +522,6 @@ def quotient(group, sub):
     return q, GroupHom(group, q, proj)
 
 
-def meet(h1, h2):
-    return h1.meet(h2)
-
-
-def join(h1, h2):
-    return h1.join(h2)
-
-
-def is_pure(sub):
-    return sub.is_pure()
-
-
 # --- the coefficient functors ------------------------------------------
 
 def _tensor_kept(group, n):
@@ -680,8 +657,7 @@ def direct_sum(groups):
 
 # --- hom solving --------------------------------------------------------
 
-def solve_hom(domain, codomain, point_constraints=(), left_constraints=(),
-              variant="min"):
+def solve_hom(domain, codomain, point_constraints=(), left_constraints=()):
     """Find a hom satisfying pointwise and left-composition constraints.
 
     ``point_constraints`` is a list of ``(a, b)`` pairs demanding
@@ -739,7 +715,7 @@ def solve_hom(domain, codomain, point_constraints=(), left_constraints=(),
                     row[idx(i, j)] = lmap.matrix[r][i]
                 add_row(row, rmap.matrix[r][j], w_orders[r])
 
-    res = intmat.solve_congruences(rows, rhs, mods, nvars, var_mods, variant)
+    res = intmat.solve_congruences(rows, rhs, mods, nvars, var_mods)
     if res is None:
         return None
     sol = res[0]
@@ -756,28 +732,3 @@ def hom_preimage(f, target, variant="min"):
     if res is None:
         return None
     return f.domain.reduce(res[0])
-
-
-def restrict_hom(f, sub):
-    """Restriction of a hom to a subgroup of its domain (as a group)."""
-    if sub.ambient != f.domain:
-        raise AmbientMismatchError("subgroup does not live in the hom domain")
-    group, incl, _ = sub.as_group()
-    return f @ incl
-
-
-def extend_hom(f, sub, variant="min"):
-    """Extend a hom defined on a subgroup to the whole ambient group.
-
-    ``f`` must have the abstract group of ``sub`` as its domain (the
-    first component of ``sub.as_group()``).  Returns an extension F with
-    ``F @ incl = f``, the canonical one, or None when no extension
-    exists.  None is an answer, not an error.
-    """
-    group, incl, _ = sub.as_group()
-    if f.domain != group:
-        raise AmbientMismatchError(
-            "hom domain %r is not the subgroup's group %r" % (f.domain, group))
-    points = [(incl(e), f(e)) for e in group.gens()]
-    return solve_hom(sub.ambient, f.codomain, point_constraints=points,
-                     variant=variant)

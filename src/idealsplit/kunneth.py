@@ -302,6 +302,22 @@ class ValidationReport:
         return "ValidationReport(%d checks, %d failed)" % (len(self), bad)
 
 
+def check_runner(results):
+    """A ``run(name, fn)`` that appends fn's verdict to ``results``.
+
+    ``fn()`` returns ``(passed, witness)``; the witness is kept only on
+    failure.  A check that cannot even be evaluated fails with the
+    exception text as its witness, so building a report never raises.
+    """
+    def run(name, fn):
+        try:
+            ok, witness = fn()
+        except Exception as exc:  # report, never propagate
+            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
+        results.append(CheckResult(name, bool(ok), None if ok else witness))
+    return run
+
+
 def _missing_from(a, b):
     """A generator of subgroup a outside subgroup b, or None."""
     for g in a.generators:
@@ -335,14 +351,7 @@ def validate_instance(inst):
     exception text as its witness.
     """
     results = []
-
-    def run(name, fn):
-        try:
-            ok, witness = fn()
-        except Exception as exc:  # report, never propagate
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(ok), None if ok else witness))
-
+    run = check_runner(results)
     data, coeff, order = inst.data, inst.coeff, inst.order
 
     def hom_validity_rho():
@@ -366,9 +375,16 @@ def validate_instance(inst):
     run("k0-torsion-free",
         lambda: (data.K0.is_torsion_free(),
                  "invariant factors %r" % (data.K0.invariant_factors,)))
-    run("sequence-exact:rho-injective",
-        lambda: (coeff.rho_tilde.is_injective(),
-                 _kernel_witness(coeff.rho_tilde)))
+
+    def rho_injective():
+        ker = kernel(coeff.rho_tilde)
+        for g in ker.generators:
+            v = ker.ambient.reduce(g)
+            if any(v):
+                return False, "kernel contains %r" % (tuple(v),)
+        return True, None
+
+    run("sequence-exact:rho-injective", rho_injective)
     run("sequence-exact:kernel-image",
         lambda: _sub_eq(kernel(coeff.beta_tilde), image(coeff.rho_tilde),
                         "ker beta_tilde vs im rho_tilde"))
@@ -477,8 +493,18 @@ def validate_instance(inst):
     run("lattice-shape",
         lambda: (order.is_bounded_lattice(),
                  "not a bounded lattice (missing bound or meet/join)"))
-    run("lattice-distributive",
-        lambda: (order.is_distributive(), _distributive_witness(order)))
+
+    def distributive():
+        if order.is_distributive():
+            return True, None
+        if not order.is_bounded_lattice():
+            return False, "not even a bounded lattice"
+        a, b, c = order.distributivity_counterexample()
+        return False, ("%s ^ (%s v %s) = %s but (^v^) gives %s"
+                       % (a, b, c, order.meet(a, order.join(b, c)),
+                          order.join(order.meet(a, b), order.meet(a, c))))
+
+    run("lattice-distributive", distributive)
 
     def injective():
         seen = {}
@@ -493,28 +519,6 @@ def validate_instance(inst):
 
     run("lattice-injective", injective)
     return ValidationReport(results)
-
-
-def _kernel_witness(f):
-    for g in kernel(f).generators:
-        v = f.domain.reduce(g)
-        if any(v):
-            return "kernel contains %r" % (tuple(v),)
-    return "kernel is trivial"
-
-
-def _distributive_witness(order):
-    if not order.is_bounded_lattice():
-        return "not even a bounded lattice"
-    for a in order.nodes:
-        for b in order.nodes:
-            for c in order.nodes:
-                lhs = order.meet(a, order.join(b, c))
-                rhs = order.join(order.meet(a, b), order.meet(a, c))
-                if lhs != rhs:
-                    return ("%s ^ (%s v %s) = %s but (^v^) gives %s"
-                            % (a, b, c, lhs, rhs))
-    return None
 
 
 # --- reductions and the five-term complex ---------------------------------
@@ -657,14 +661,7 @@ def check_coherence(fam):
         if key not in fam.kappa:
             raise MissingMapError("kappa[%d,%d] is missing" % key)
     results = []
-
-    def run(name, fn):
-        try:
-            ok, witness = fn()
-        except Exception as exc:
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(ok), None if ok else witness))
-
+    run = check_runner(results)
     pairs = sorted(set(required) | set(fam.kappa))
     betas = {n: full_beta(fam.data, fam.coeffs[n]) for n in ns}
     rhos = {n: reduction_hom(fam.data, fam.coeffs[n]) for n in ns}

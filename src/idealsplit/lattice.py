@@ -120,16 +120,20 @@ class IdealLattice:
 
     def is_distributive(self):
         """Exhaustive triple check of meet-over-join distributivity."""
-        if not self.is_bounded_lattice():
-            return False
+        return (self.is_bounded_lattice()
+                and self.distributivity_counterexample() is None)
+
+    def distributivity_counterexample(self):
+        """First triple (a, b, c) in id order with a ^ (b v c) different
+        from (a ^ b) v (a ^ c), or None.  Needs a bounded lattice."""
         for a in self.nodes:
             for b in self.nodes:
                 for c in self.nodes:
                     lhs = self.meet(a, self.join(b, c))
                     rhs = self.join(self.meet(a, b), self.meet(a, c))
                     if lhs != rhs:
-                        return False
-        return True
+                        return a, b, c
+        return None
 
     def cover_edges(self):
         """Canonical covering pairs (a, b): a < b with nothing in between."""

@@ -1,10 +1,9 @@
-"""Exact-sequence machinery: exactness, purity, splitting search.
+"""Exact-sequence machinery: exactness and splitting enumeration.
 
 A Complex is a chain of composable homs; a ShortExact wraps the
-five-term shape 0 -> A -> B -> C -> 0.  The two splitting searches at
-the bottom are deliberately different routes to the same answer: the
-solver is the production path, the exhaustive enumeration is the oracle
-it is checked against.
+five-term shape 0 -> A -> B -> C -> 0.  The exhaustive splitting
+enumeration at the bottom is the oracle that the canonical solver
+(``fgab.solve_hom``, as the builder uses it) is checked against.
 """
 
 import itertools
@@ -12,7 +11,6 @@ import itertools
 from . import fgab
 from .errors import (
     AmbientMismatchError,
-    NotASplittingError,
     NotExactError,
     SizeBoundError,
 )
@@ -138,12 +136,6 @@ class ShortExact:
         return hash(self.complex)
 
 
-def is_pure_exact(s):
-    """Purity of a short exact sequence: the left image is a pure subgroup."""
-    s.validate()
-    return fgab.image(s.left).is_pure()
-
-
 def enumerate_splittings(s, bound=256):
     """Every splitting of a short exact sequence, by exhaustion.
 
@@ -171,31 +163,3 @@ def enumerate_splittings(s, bound=256):
         found.append(fgab.GroupHom.from_images(c, b, [list(x) for x in combo]))
     found.sort(key=lambda h: h.matrix)
     return found
-
-
-def find_splitting_constrained(s, partial=None, sub=None, variant="min"):
-    """A splitting agreeing with a partial one on a subgroup of C.
-
-    ``partial`` is a hom from ``sub.as_group()``'s group into B that
-    already splits the sequence over ``sub``; pass None for an
-    unconstrained search.  Returns the canonical solution of the linear
-    system (splitting condition plus agreement), or None when no such
-    splitting exists.  None is an answer, not an error.
-    """
-    s.validate()
-    points = []
-    if partial is not None:
-        if sub is None or sub.ambient != s.c:
-            raise AmbientMismatchError("partial splitting needs a subgroup of C")
-        group, incl, _ = sub.as_group()
-        if partial.domain != group or partial.codomain != s.b:
-            raise AmbientMismatchError("partial map has the wrong ends")
-        for e in group.gens():
-            if s.right(partial(e)) != incl(e):
-                raise NotASplittingError(
-                    "partial map is not a splitting over its subgroup")
-            points.append((incl(e), partial(e)))
-    return fgab.solve_hom(
-        s.c, s.b, point_constraints=points,
-        left_constraints=[(s.right, fgab.GroupHom.identity(s.c))],
-        variant=variant)

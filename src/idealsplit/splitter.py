@@ -5,9 +5,12 @@ coefficient row restricted to that ideal, with the restriction
 coherence: whenever J1 <= J2, sigma_{J2} agrees with sigma_{J1} on
 K1(J1)[n].  The builder walks the lattice in next_ideal order: the
 bottom gets the zero section, an ideal with a unique maximal subideal
-gets a constrained-solver extension, and an ideal with several maximal
-subideals is glued from them along the Gamma complex, with the
-well-definedness of the glue verified rather than assumed.
+gets the canonical solution of one congruence system (the only
+extension path; it is complete, so None means no extension exists), and
+an ideal with several maximal subideals is glued from them along the
+Gamma complex, with the well-definedness of the glue verified rather
+than assumed.  exhaustive_ideal_splittings is the independent
+brute-force cross-check of the builder.
 
 Everything here is deterministic: solver solutions are canonical
 (lexicographically least), gluing preimages use a fixed variant, and
@@ -21,25 +24,20 @@ from .errors import (AmbientMismatchError, GluingError,
                      LiftHypothesisError, MissingSigmaError,
                      NotASplittingError, NotComaximalError,
                      NotSubgroupError, SplittingObstructionError)
-from .fgab import (GroupHom, Subgroup, direct_sum, hom_preimage, image,
+from .fgab import (GroupHom, direct_sum, hom_preimage, image,
                    image_subgroup, induced_tensor_hom, induced_torsion_hom,
                    solve_hom)
-from .kunneth import CheckResult, ValidationReport, validate_instance
+from .kunneth import ValidationReport, check_runner, validate_instance
 from .sequences import ShortExact, enumerate_splittings
 
 
 class SplittingFamily:
-    """Per-ideal sections sigma_I : K1(I)[n] -> Kn, keyed by ideal id.
+    """Per-ideal sections sigma_I : K1(I)[n] -> Kn, keyed by ideal id."""
 
-    ``notes`` carries strategy remarks from the builder (never needed
-    for verification and not serialized).
-    """
+    __slots__ = ("sigmas",)
 
-    __slots__ = ("sigmas", "notes")
-
-    def __init__(self, sigmas, notes=()):
+    def __init__(self, sigmas):
         object.__setattr__(self, "sigmas", dict(sigmas))
-        object.__setattr__(self, "notes", tuple(notes))
 
     def __setattr__(self, name, value):
         raise AttributeError("SplittingFamily is immutable")
@@ -242,7 +240,7 @@ def _check_is_splitting(inst, id, sig):
             "sigma image escapes Kn(%s)" % (id,))
 
 
-def _extend_solver(inst, lo, hi, tau, variant="min"):
+def _extend_solver(inst, lo, hi, tau):
     """Canonical extension of tau (a section at lo) to hi, or None."""
     g_lo, incl_lo, _ = _tor_group(inst, lo)
     g_hi, incl_hi, _ = _tor_group(inst, hi)
@@ -258,92 +256,17 @@ def _extend_solver(inst, lo, hi, tau, variant="min"):
     x = solve_hom(g_hi, h_hi,
                   point_constraints=points,
                   left_constraints=[(inst.coeff.beta_tilde @ incl_h,
-                                     incl_hi)],
-                  variant=variant)
+                                     incl_hi)])
     if x is None:
         return None
     return incl_h @ x
 
 
-def _extend_greedy(inst, lo, hi, tau):
-    """Complement-growing strategy: grow D maximal with D meet im rho = 0
-    and im tau <= D; succeed iff Kn(hi) = rho-image (+) D.  Incomplete at
-    a fixed coefficient; used as a cross-check."""
-    kn_sub = inst.node(hi).Kn_sub
-    rho_im = inst.rho_image(hi)
-    d = image(tau)
-    if not d.meet(rho_im).is_zero():
-        return None
-    if kn_sub.size() is None:
-        return None
-    for x in kn_sub.elements():
-        cand = d.join(Subgroup(kn_sub.ambient, [list(x)]))
-        if cand.meet(rho_im).is_zero():
-            d = cand
-    if d.join(rho_im) != kn_sub:
-        return None
-    # project Kn(hi) onto D along the rho image, after any section
-    g_hi, incl_hi, _ = _tor_group(inst, hi)
-    h_hi, incl_h, proj_h = kn_sub.as_group()
-    s = solve_hom(g_hi, h_hi,
-                  left_constraints=[(inst.coeff.beta_tilde @ incl_h,
-                                     incl_hi)])
-    if s is None:
-        return None
-    points = []
-    for g in rho_im.generators:
-        coords = proj_h(g)
-        if coords is None:
-            return None
-        points.append((coords, [0] * kn_sub.ambient.rank))
-    for g in d.generators:
-        points.append((proj_h(g), list(kn_sub.ambient.reduce(g))))
-    pi_d = solve_hom(h_hi, kn_sub.ambient, point_constraints=points)
-    if pi_d is None:
-        return None
-    sigma = pi_d @ s
-    try:
-        _check_is_splitting(inst, hi, sigma)
-    except NotASplittingError:
-        return None
-    iota = restriction_hom(inst, lo, hi)
-    g_lo = _tor_group(inst, lo)[0]
-    for gen in g_lo.gens():
-        if sigma(iota(gen)) != tau(gen):
-            return None
-    return sigma
-
-
-def extend_splitting(inst, I, tau, strategy="solver", variant="min"):
+def extend_splitting(inst, I, tau):
     """Extend a section at ideal I to the top row; None if impossible."""
     top = inst.order.top()
     _check_is_splitting(inst, I, tau)
-    return _extend_any(inst, I, top, tau, strategy, variant)[0]
-
-
-def _extend_any(inst, lo, hi, tau, strategy, variant):
-    """Dispatch on strategy; returns (sigma or None, notes)."""
-    notes = []
-    if strategy == "solver":
-        return _extend_solver(inst, lo, hi, tau, variant), notes
-    if strategy == "greedy":
-        return _extend_greedy(inst, lo, hi, tau), notes
-    if strategy == "both":
-        got = _extend_solver(inst, lo, hi, tau, variant)
-        alt = _extend_greedy(inst, lo, hi, tau)
-        if got is None and alt is not None:
-            raise SplittingObstructionError(
-                "internal inconsistency at %r: greedy found an extension "
-                "the complete solver missed" % (hi,), ideal=hi)
-        if got is not None and alt is None:
-            notes.append("%s: greedy strategy failed, solver succeeded "
-                         "(greedy is incomplete at fixed n)" % (hi,))
-        elif got is not None and alt is not None:
-            notes.append("%s: strategies agree on solvability (%s)"
-                         % (hi, "same map" if got == alt
-                            else "different valid maps"))
-        return got, notes
-    raise ValueError("unknown strategy %r" % (strategy,))
+    return _extend_solver(inst, I, top, tau)
 
 
 def glue_comaximal(inst, I, parts, sigmas, preimage_variant="min"):
@@ -400,8 +323,7 @@ def glue_comaximal(inst, I, parts, sigmas, preimage_variant="min"):
     return sigma
 
 
-def build_ideal_splitting(inst, strategy="solver", variant="min",
-                          validate=True):
+def build_ideal_splitting(inst, validate=True):
     """Inductive construction of a coherent splitting family.
 
     Walks the lattice in next_ideal order; zero section at the bottom,
@@ -419,7 +341,6 @@ def build_ideal_splitting(inst, strategy="solver", variant="min",
                 % ", ".join(r.name for r in report.failures()),
                 report=report)
     sigmas = {}
-    notes = []
     processed = set()
     while True:
         current = inst.order.next_ideal(processed)
@@ -431,33 +352,23 @@ def build_ideal_splitting(inst, strategy="solver", variant="min",
             sigmas[current] = GroupHom.zero(g, inst.coeff.Kn)
         elif len(maxsubs) == 1:
             lo = maxsubs[0]
-            sigma, extra = _extend_any(inst, lo, current, sigmas[lo],
-                                       strategy, variant)
-            notes.extend(extra)
+            sigma = _extend_solver(inst, lo, current, sigmas[lo])
             if sigma is None:
                 raise SplittingObstructionError(
                     "no extension of the section at %r to %r"
                     % (lo, current), ideal=current,
-                    diagnostics={"from": lo, "strategy": strategy})
+                    diagnostics={"from": lo})
             sigmas[current] = sigma
         else:
-            sigmas[current] = glue_comaximal(inst, current, maxsubs, sigmas,
-                                             preimage_variant=variant)
+            sigmas[current] = glue_comaximal(inst, current, maxsubs, sigmas)
         processed.add(current)
-    return SplittingFamily(sigmas, notes)
+    return SplittingFamily(sigmas)
 
 
 def verify_ideal_splitting(inst, fam):
     """Re-check a family against its instance, however it was produced."""
     results = []
-
-    def run(name, fn):
-        try:
-            ok, witness = fn()
-        except Exception as exc:
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(ok), None if ok else witness))
-
+    run = check_runner(results)
     ids = list(inst.order.nodes)
     for i in ids:
         def domain_ok(i=i):

@@ -86,14 +86,15 @@ def test_split_writes_verifiable_family(tmp_path, capsys):
     assert verify_ideal_splitting(inst, fam).ok
 
 
-def test_split_stdout_and_strategies_agree(tmp_path, capsys):
+def test_split_stdout_is_stable_and_strategy_is_gone(tmp_path, capsys):
     path = write_instance(tmp_path, diamond24())
     assert main(["split", path]) == 0
-    solver_doc = capsys.readouterr().out
-    assert main(["split", path, "--strategy", "both"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == solver_doc
-    assert "note:" in captured.err
+    first = capsys.readouterr()
+    assert main(["split", path]) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out and again.err == first.err == ""
+    # one extension path: the option that chose between two is rejected
+    assert main(["split", "--strategy", "solver", path]) == 2
 
 
 def test_split_torsion_free_k1_gives_zero_family(tmp_path, capsys):

@@ -28,6 +28,8 @@ from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
 from idealsplit.lattice import IdealLattice
 from idealsplit.sequences import is_exact
 
+from test_lattice import n5
+
 Z = FgGroup((), 1)
 Z2 = FgGroup((), 2)
 
@@ -181,6 +183,30 @@ def test_m3_insertion_fails_only_distributivity():
     bad = [r.name for r in report.failures()]
     assert bad == ["lattice-distributive"]
     assert report.find("lattice-distributive").witness is not None
+
+
+def test_failure_witnesses_are_pinned():
+    # N5 over trivial groups: b2 ^ (a v b1) = b2 ^ 1 = b2, while
+    # (b2 ^ a) v (b2 ^ b1) = 0 v b1 = b1; no earlier triple fails
+    triv = FgGroup()
+    zero = GroupHom.zero(triv, triv)
+    order = n5()
+    nodes = [IdealNode(i, Subgroup.zero(triv), Subgroup.zero(triv),
+                       Subgroup.zero(triv)) for i in order.nodes]
+    inst = KunnethInstance(KData(triv, triv), CoeffGroup(2, triv, zero, zero),
+                           nodes, order)
+    assert validate_instance(inst).find("lattice-distributive").witness \
+        == "b2 ^ (a v b1) = b2 but (^v^) gives b1"
+    # rho_tilde sending both tensor coordinates to one: kernel <(1, 1)>
+    inst, _ = diamond_instance()
+    coeff = inst.coeff
+    rho = GroupHom(coeff.rho_tilde.domain, coeff.Kn,
+                   [[1, 1], [0, 0], [0, 0], [0, 0]])
+    mutant = KunnethInstance(inst.data,
+                             CoeffGroup(2, coeff.Kn, rho, coeff.beta_tilde),
+                             list(inst.ideals.values()), inst.order)
+    assert validate_instance(mutant).find(
+        "sequence-exact:rho-injective").witness == "kernel contains (1, 1)"
 
 
 def test_constructor_rejects_structural_breakage():

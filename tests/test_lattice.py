@@ -89,6 +89,10 @@ def test_diamond_is_distributive_m3_and_n5_are_not():
     assert not m3().is_distributive()
     assert n5().is_bounded_lattice()
     assert not n5().is_distributive()
+    # first failing triple in id order, found by hand from the tables
+    assert diamond().distributivity_counterexample() is None
+    assert m3().distributivity_counterexample() == ("a", "b", "c")
+    assert n5().distributivity_counterexample() == ("b2", "a", "b1")
 
 
 def test_m3_distributivity_witness():

@@ -1,8 +1,10 @@
 """Tests for exactness, purity, and splitting search.
 
 The enumeration oracle is checked by hand-counted candidate scans; the
-constrained solver is then checked against the enumeration, keeping the
-two routes independent.
+canonical solver (solve_hom with the splitting condition as a left
+constraint, the kind of system the builder solves at each extension
+step) is then checked against the enumeration, keeping the two routes
+independent.
 """
 
 import random
@@ -12,7 +14,6 @@ import pytest
 from idealsplit import fgab, sequences
 from idealsplit.errors import (
     AmbientMismatchError,
-    NotASplittingError,
     NotExactError,
     SizeBoundError,
 )
@@ -84,20 +85,25 @@ def test_pure_exact_summand_case():
     left = fgab.GroupHom(Z2, mid, [[1], [0]])
     right = fgab.GroupHom(mid, Z, [[0, 1]])
     s = seq(left, right)
-    assert sequences.is_pure_exact(s)
+    s.validate()
+    assert fgab.image(s.left).is_pure()
 
 
 def test_pure_exact_rejects_impure():
     double = fgab.GroupHom(Z, Z, [[2]])
     reduce2 = fgab.GroupHom(Z, Z2, [[1]])
-    assert not sequences.is_pure_exact(seq(double, reduce2))
+    s = seq(double, reduce2)
+    s.validate()
+    assert not fgab.image(s.left).is_pure()
 
 
 def test_pure_exact_requires_exactness():
+    # purity of a sequence is purity of its left image, asked only of
+    # sequences that validate
     double = fgab.GroupHom(Z, Z, [[2]])
     reduce4 = fgab.GroupHom(Z, Z4, [[1]])
     with pytest.raises(NotExactError):
-        sequences.is_pure_exact(seq(double, reduce4))
+        seq(double, reduce4).validate()
 
 
 def random_iso(rng, g, tries=60):
@@ -123,7 +129,8 @@ def test_split_instances_are_pure():
         left = theta @ injs[0]
         right = projs[1] @ theta.inverse()
         s = seq(left, right)
-        assert sequences.is_pure_exact(s)
+        s.validate()
+        assert fgab.image(s.left).is_pure()
 
 
 def test_pure_exact_iso_invariance():
@@ -131,10 +138,12 @@ def test_pure_exact_iso_invariance():
     double = fgab.GroupHom(Z, Z, [[2]])
     reduce2 = fgab.GroupHom(Z, Z2, [[1]])
     base = seq(double, reduce2)
-    verdict = sequences.is_pure_exact(base)
+    base.validate()
+    verdict = fgab.image(base.left).is_pure()
     theta = random_iso(rng, Z)  # only +-1 scaling, still a real transport
     moved = seq(theta @ double, reduce2 @ theta.inverse())
-    assert sequences.is_pure_exact(moved) == verdict
+    moved.validate()
+    assert fgab.image(moved.left).is_pure() == verdict
 
 
 # --- splitting enumeration ------------------------------------------------
@@ -187,6 +196,18 @@ def test_enumerate_respects_bound():
 
 # --- constrained splitting search ----------------------------------------
 
+def canonical_splitting(s, partial=None, sub=None):
+    """The canonical splitting of s that agrees with ``partial`` (a hom
+    from sub's abstract group into B) on ``sub``, or None."""
+    points = []
+    if partial is not None:
+        group, incl, _ = sub.as_group()
+        points = [(incl(e), partial(e)) for e in group.gens()]
+    return fgab.solve_hom(
+        s.c, s.b, point_constraints=points,
+        left_constraints=[(s.right, fgab.GroupHom.identity(s.c))])
+
+
 def test_find_splitting_matches_enumeration():
     rng = random.Random(0x5E92)
     for _ in range(30):
@@ -203,7 +224,7 @@ def test_find_splitting_matches_enumeration():
             red = fgab.GroupHom(times.codomain, c, [[1]])
             s = seq(times, red)
         everything = sequences.enumerate_splittings(s)
-        found = sequences.find_splitting_constrained(s)
+        found = canonical_splitting(s)
         assert (found is None) == (everything == [])
         if found is not None:
             assert found in everything
@@ -215,7 +236,7 @@ def test_find_splitting_partial_on_all_of_c():
     sub = fgab.Subgroup.full(s.c)
     group, incl, _ = sub.as_group()
     partial = fgab.GroupHom.from_images(group, s.b, [[1, 1]])
-    got = sequences.find_splitting_constrained(s, partial, sub)
+    got = canonical_splitting(s, partial, sub)
     assert got is not None
     assert got @ incl == partial
 
@@ -225,20 +246,9 @@ def test_find_splitting_partial_on_zero_sub():
     sub = fgab.Subgroup.zero(s.c)
     group, incl, _ = sub.as_group()
     partial = fgab.GroupHom.zero(group, s.b)
-    got = sequences.find_splitting_constrained(s, partial, sub)
-    unconstrained = sequences.find_splitting_constrained(s)
+    got = canonical_splitting(s, partial, sub)
+    unconstrained = canonical_splitting(s)
     assert got == unconstrained is not None
-
-
-def test_find_splitting_rejects_non_splitting_partial():
-    s = klein_sequence()
-    sub = fgab.Subgroup.full(s.c)
-    group, incl, _ = sub.as_group()
-    bad = fgab.GroupHom.zero(group, s.b)  # right(0) != incl(gen)
-    with pytest.raises(NotASplittingError):
-        sequences.find_splitting_constrained(s, bad, sub)
-    with pytest.raises(AmbientMismatchError):
-        sequences.find_splitting_constrained(s, bad, None)
 
 
 def test_find_splitting_respects_partial_choice():
@@ -247,5 +257,5 @@ def test_find_splitting_respects_partial_choice():
     group, incl, _ = sub.as_group()
     for target in ((0, 1), (1, 1)):
         partial = fgab.GroupHom.from_images(group, s.b, [list(target)])
-        got = sequences.find_splitting_constrained(s, partial, sub)
+        got = canonical_splitting(s, partial, sub)
         assert got((1,)) == target

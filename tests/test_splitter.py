@@ -187,19 +187,17 @@ def test_extend_splitting_no_extension_returns_none():
     g_bot, _, _ = inst.torsion_sub("bot").as_group()
     tau = GroupHom.zero(g_bot, inst.coeff.Kn)
     assert extend_splitting(inst, "bot", tau) is None
-    assert extend_splitting(inst, "bot", tau, strategy="greedy") is None
 
 
-def test_extend_strategies_agree_on_diamond():
+def test_extend_splitting_on_diamond():
     inst, parts = diamond_instance()
     tau = natural_sigma(inst, parts, "a")
-    for strategy in ("solver", "greedy", "both"):
-        sigma = extend_splitting(inst, "a", tau, strategy=strategy)
-        assert sigma is not None
-        g_top, incl_top, _ = inst.torsion_sub("top").as_group()
-        assert inst.coeff.beta_tilde @ sigma == incl_top
-        assert sigma @ restriction_hom(inst, "a", "top") == tau
-        assert image(sigma) <= inst.node("top").Kn_sub
+    sigma = extend_splitting(inst, "a", tau)
+    assert sigma is not None
+    g_top, incl_top, _ = inst.torsion_sub("top").as_group()
+    assert inst.coeff.beta_tilde @ sigma == incl_top
+    assert sigma @ restriction_hom(inst, "a", "top") == tau
+    assert image(sigma) <= inst.node("top").Kn_sub
 
 
 # --- gluing ----------------------------------------------------------------
@@ -329,16 +327,6 @@ def test_build_obstruction_names_blocking_ideal():
     with pytest.raises(SplittingObstructionError) as err:
         build_ideal_splitting(inst)
     assert err.value.ideal == "top"
-
-
-def test_build_strategy_both_records_notes():
-    inst, _ = diamond_instance()
-    fam = build_ideal_splitting(inst, strategy="both")
-    assert verify_ideal_splitting(inst, fam).ok
-    assert any("strategies agree" in note or "greedy" in note
-               for note in fam.notes)
-    with pytest.raises(ValueError):
-        build_ideal_splitting(inst, strategy="bogus")
 
 
 def test_splitting_family_container():
