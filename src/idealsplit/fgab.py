@@ -558,27 +558,6 @@ def induced_tensor_hom(f, n):
     return GroupHom(ta, tb, rows)
 
 
-def n_torsion(group, n):
-    """``G[n] = {g : ng = 0}`` as a subgroup of G."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    gens = []
-    for i, d in enumerate(group.orders):
-        if d:
-            g = gcd(d, n)
-            if g > 1:
-                gens.append([d // g if j == i else 0
-                             for j in range(group.rank)])
-    return Subgroup(group, gens)
-
-
-def torsion(group):
-    """The full torsion subgroup (all finite-order elements)."""
-    gens = [[1 if j == i else 0 for j in range(group.rank)]
-            for i, d in enumerate(group.orders) if d]
-    return Subgroup(group, gens)
-
-
 def n_torsion_group(group, n):
     """``G[n]`` as an abstract group with its inclusion.
 

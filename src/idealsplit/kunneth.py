@@ -343,6 +343,12 @@ def _sub_eq(a, b, label):
     return True, None
 
 
+def _components(*nodes):
+    """(tag, the tag's subgroup of each node) for K0, K1 and Kn in turn."""
+    for tag in ("K0", "K1", "Kn"):
+        yield (tag,) + tuple(getattr(node, tag + "_sub") for node in nodes)
+
+
 def validate_instance(inst):
     """Run every structural-hypothesis check, in a fixed order.
 
@@ -392,30 +398,20 @@ def validate_instance(inst):
         lambda: (coeff.beta_tilde.is_surjective(),
                  "beta_tilde misses part of K1[%d]" % coeff.n))
 
-    def bottom_trivial():
-        b = order.bottom()
-        if b is None:
-            return False, "lattice has no bottom"
-        node = inst.node(b)
-        for tag, sub in (("K0", node.K0_sub), ("K1", node.K1_sub),
-                         ("Kn", node.Kn_sub)):
-            if not sub.is_zero():
-                return False, "%s(%s) is nonzero" % (tag, b)
-        return True, None
+    def bound(find, name, holds, word):
+        def check():
+            x = find()
+            if x is None:
+                return False, "lattice has no %s" % name
+            for tag, sub in _components(inst.node(x)):
+                if not holds(sub):
+                    return False, "%s(%s) is %s" % (tag, x, word)
+            return True, None
+        return check
 
-    def top_full():
-        t = order.top()
-        if t is None:
-            return False, "lattice has no top"
-        node = inst.node(t)
-        for tag, sub in (("K0", node.K0_sub), ("K1", node.K1_sub),
-                         ("Kn", node.Kn_sub)):
-            if not sub.is_full():
-                return False, "%s(%s) is proper" % (tag, t)
-        return True, None
-
-    run("bottom-trivial", bottom_trivial)
-    run("top-full", top_full)
+    run("bottom-trivial",
+        bound(order.bottom, "bottom", lambda s: s.is_zero(), "nonzero"))
+    run("top-full", bound(order.top, "top", lambda s: s.is_full(), "proper"))
 
     ids = list(order.nodes)
     for i in ids:
@@ -443,52 +439,32 @@ def validate_instance(inst):
 
     for lo, hi in order.cover_edges():
         def mono(lo=lo, hi=hi):
-            a, b = inst.node(lo), inst.node(hi)
-            for tag, x, y in (("K0", a.K0_sub, b.K0_sub),
-                              ("K1", a.K1_sub, b.K1_sub),
-                              ("Kn", a.Kn_sub, b.Kn_sub)):
+            for tag, x, y in _components(inst.node(lo), inst.node(hi)):
                 ok, w = _sub_leq(x, y, "%s(%s) vs %s(%s)" % (tag, lo, tag, hi))
                 if not ok:
                     return False, w
             return True, None
         run("monotonicity:%s<%s" % (lo, hi), mono)
 
+    def law(op, symbol, i, j):
+        def check():
+            m = getattr(order, op)(i, j)
+            if m is None:
+                return False, "lattice %s of %s, %s undefined" % (op, i, j)
+            for tag, s1, s2, s3 in _components(inst.node(i), inst.node(j),
+                                               inst.node(m)):
+                ok, w = _sub_eq(s3, getattr(s1, op)(s2),
+                                "%s(%s %s %s)" % (tag, i, symbol, j))
+                if not ok:
+                    return False, w
+            return True, None
+        return check
+
     for x in range(len(ids)):
         for y in range(x + 1, len(ids)):
             i, j = ids[x], ids[y]
-
-            def law_meet(i=i, j=j):
-                m = order.meet(i, j)
-                if m is None:
-                    return False, "lattice meet of %s, %s undefined" % (i, j)
-                a, b, c = inst.node(i), inst.node(j), inst.node(m)
-                for tag, s1, s2, s3 in (
-                        ("K0", a.K0_sub, b.K0_sub, c.K0_sub),
-                        ("K1", a.K1_sub, b.K1_sub, c.K1_sub),
-                        ("Kn", a.Kn_sub, b.Kn_sub, c.Kn_sub)):
-                    ok, w = _sub_eq(s3, s1.meet(s2),
-                                    "%s(%s ^ %s)" % (tag, i, j))
-                    if not ok:
-                        return False, w
-                return True, None
-
-            def law_join(i=i, j=j):
-                m = order.join(i, j)
-                if m is None:
-                    return False, "lattice join of %s, %s undefined" % (i, j)
-                a, b, c = inst.node(i), inst.node(j), inst.node(m)
-                for tag, s1, s2, s3 in (
-                        ("K0", a.K0_sub, b.K0_sub, c.K0_sub),
-                        ("K1", a.K1_sub, b.K1_sub, c.K1_sub),
-                        ("Kn", a.Kn_sub, b.Kn_sub, c.Kn_sub)):
-                    ok, w = _sub_eq(s3, s1.join(s2),
-                                    "%s(%s v %s)" % (tag, i, j))
-                    if not ok:
-                        return False, w
-                return True, None
-
-            run("lattice-laws:meet:%s,%s" % (i, j), law_meet)
-            run("lattice-laws:join:%s,%s" % (i, j), law_join)
+            run("lattice-laws:meet:%s,%s" % (i, j), law("meet", "^", i, j))
+            run("lattice-laws:join:%s,%s" % (i, j), law("join", "v", i, j))
 
     run("lattice-shape",
         lambda: (order.is_bounded_lattice(),
@@ -534,11 +510,6 @@ def reduction_hom(data, coeff):
     return coeff.rho_tilde @ pi
 
 
-def mod_reduction(inst):
-    """rho_n : K0 -> Kn; satisfies rho_n . (x n) = 0."""
-    return reduction_hom(inst.data, inst.coeff)
-
-
 def full_beta(data, coeff):
     """beta_n : Kn -> K1, the torsion inclusion after beta_tilde."""
     _, incl = n_torsion_group(data.K1, coeff.n)
@@ -551,7 +522,7 @@ def five_term_complex(inst):
     times_n0 = _scaled(GroupHom.identity(data.K0), coeff.n)
     times_n1 = _scaled(GroupHom.identity(data.K1), coeff.n)
     return Complex([data.K0, data.K0, coeff.Kn, data.K1, data.K1],
-                   [times_n0, mod_reduction(inst),
+                   [times_n0, reduction_hom(data, coeff),
                     full_beta(data, coeff), times_n1],
                    require_complex=True)
 

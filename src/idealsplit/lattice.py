@@ -3,17 +3,32 @@
 Construction only requires an acyclic order: the bounded-lattice and
 distributivity properties are queries, not constructor preconditions,
 because the validator needs to represent and diagnose broken inputs.
-All iteration is in lexicographic id order so every downstream artifact
-is reproducible.
+The constructor closes the order once into tables (up- and down-sets,
+the meet and the join of every pair, the covering pairs, the bounds),
+so every query is a lookup.  All iteration is in lexicographic id
+order so every downstream artifact is reproducible.
 """
 
 from .errors import LatticeError, NotHereditaryError
 
 
-class IdealLattice:
-    """Ideal ids ordered by a DAG of edges (transitively closed on build)."""
+def _least(members, up):
+    """The element of the set ``members`` that lies below all of it in
+    the order whose up-sets are ``up``, or None.  Passing down-sets as
+    ``up`` gives the greatest element instead."""
+    for x in members:
+        if members <= up[x]:
+            return x
+    return None
 
-    __slots__ = ("nodes", "edges", "_up")
+
+class IdealLattice:
+    """Ideal ids ordered by a DAG of edges, closed on build into tables:
+    up- and down-sets, per-node rows of pairwise meets and joins (None
+    where one does not exist), covering pairs and bounds."""
+
+    __slots__ = ("nodes", "edges", "_up", "_down", "_meet", "_join",
+                 "_covers", "_lower", "_bottom", "_top")
 
     def __init__(self, nodes, edges):
         nodes = tuple(sorted(nodes))
@@ -49,9 +64,29 @@ class IdealLattice:
 
         for a in nodes:
             close(a)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_up", up)
+        down = {a: set() for a in nodes}
+        for a in nodes:
+            for b in up[a]:
+                down[b].add(a)
+        down = {a: frozenset(s) for a, s in down.items()}
+        # a < b is a cover iff the interval [a, b] is just {a, b}
+        covers = tuple((a, b) for a in nodes for b in sorted(up[a])
+                       if len(up[a] & down[b]) == 2)
+        lower = {a: [] for a in nodes}
+        for a, b in covers:
+            lower[b].append(a)
+        meet = {a: {b: _least(down[a] & down[b], down) for b in nodes}
+                for a in nodes}
+        join = {a: {b: _least(up[a] & up[b], up) for b in nodes}
+                for a in nodes}
+        everything = frozenset(nodes)
+        for name, value in (
+                ("nodes", nodes), ("edges", edges), ("_up", up),
+                ("_down", down), ("_meet", meet), ("_join", join),
+                ("_covers", covers), ("_lower", lower),
+                ("_bottom", _least(everything, up)),
+                ("_top", _least(everything, down))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealLattice is immutable")
@@ -65,58 +100,38 @@ class IdealLattice:
         self._check(b)
         return b in self._up[a]
 
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
-
     def comparable(self, a, b):
         return self.leq(a, b) or self.leq(b, a)
 
     def below(self, a, strict=True):
         """Nodes at or below a (strictly below by default), sorted."""
         self._check(a)
-        return [x for x in self.nodes
-                if a in self._up[x] and (not strict or x != a)]
-
-    def above(self, a, strict=True):
-        self._check(a)
-        return [x for x in sorted(self._up[a]) if not strict or x != a]
+        return [x for x in sorted(self._down[a]) if not strict or x != a]
 
     def join(self, a, b):
         """Least upper bound, or None when it does not exist."""
         self._check(a)
         self._check(b)
-        ubs = [x for x in self.nodes if x in self._up[a] and x in self._up[b]]
-        least = [x for x in ubs if all(y in self._up[x] for y in ubs)]
-        return least[0] if least else None
+        return self._join[a][b]
 
     def meet(self, a, b):
         """Greatest lower bound, or None when it does not exist."""
         self._check(a)
         self._check(b)
-        lbs = [x for x in self.nodes
-               if a in self._up[x] and b in self._up[x]]
-        greatest = [x for x in lbs if all(x in self._up[y] for y in lbs)]
-        return greatest[0] if greatest else None
+        return self._meet[a][b]
 
     def bottom(self):
-        least = [x for x in self.nodes
-                 if all(y in self._up[x] for y in self.nodes)]
-        return least[0] if least else None
+        return self._bottom
 
     def top(self):
-        greatest = [x for x in self.nodes
-                    if all(x in self._up[y] for y in self.nodes)]
-        return greatest[0] if greatest else None
+        return self._top
 
     def is_bounded_lattice(self):
         """Unique bottom and top, every pair has a join and a meet."""
-        if self.bottom() is None or self.top() is None:
-            return False
-        for a in self.nodes:
-            for b in self.nodes:
-                if self.join(a, b) is None or self.meet(a, b) is None:
-                    return False
-        return True
+        return (self._bottom is not None and self._top is not None
+                and not any(None in row.values()
+                            for table in (self._join, self._meet)
+                            for row in table.values()))
 
     def is_distributive(self):
         """Exhaustive triple check of meet-over-join distributivity."""
@@ -125,33 +140,29 @@ class IdealLattice:
 
     def distributivity_counterexample(self):
         """First triple (a, b, c) in id order with a ^ (b v c) different
-        from (a ^ b) v (a ^ c), or None.  Needs a bounded lattice."""
-        for a in self.nodes:
-            for b in self.nodes:
-                for c in self.nodes:
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
-                        return a, b, c
+        from (a ^ b) v (a ^ c), or None.  Needs a bounded lattice: a
+        missing meet or join met on the way raises LatticeError."""
+        meet, join = self._meet, self._join
+        try:
+            for a in self.nodes:
+                row_a = meet[a]
+                for b in self.nodes:
+                    ab, row_b = row_a[b], join[b]
+                    for c in self.nodes:
+                        if row_a[row_b[c]] != join[ab][row_a[c]]:
+                            return a, b, c
+        except KeyError:
+            raise LatticeError("unknown node None") from None
         return None
 
     def cover_edges(self):
         """Canonical covering pairs (a, b): a < b with nothing in between."""
-        out = []
-        for a in self.nodes:
-            for b in sorted(self._up[a]):
-                if b == a:
-                    continue
-                if not any(c != a and c != b and c in self._up[a]
-                           and b in self._up[c] for c in self.nodes):
-                    out.append((a, b))
-        return out
+        return list(self._covers)
 
     def maximal_subideals(self, a):
         """Maximal elements of the set of nodes strictly below a, sorted."""
-        strict = self.below(a, strict=True)
-        return [x for x in strict
-                if not any(y != x and y in self._up[x] for y in strict)]
+        self._check(a)
+        return list(self._lower[a])
 
     def next_ideal(self, processed):
         """Smallest-id node whose strict predecessors are all processed.
@@ -163,27 +174,18 @@ class IdealLattice:
         for x in done:
             self._check(x)
         for x in done:
-            for y in self.below(x, strict=True):
-                if y not in done:
-                    raise NotHereditaryError(
-                        "%r is processed but its predecessor %r is not"
-                        % (x, y))
+            missing = self._down[x] - done
+            if missing:
+                raise NotHereditaryError(
+                    "%r is processed but its predecessor %r is not"
+                    % (x, min(missing)))
         if len(done) == len(self.nodes):
             return None
-        candidates = [x for x in self.nodes if x not in done
-                      and all(y in done for y in self.below(x, strict=True))]
-        return min(candidates)
-
-    def linear_extension(self):
-        """The deterministic processing order: iterate next_ideal from empty."""
-        processed = set()
-        order = []
-        while True:
-            nxt = self.next_ideal(processed)
-            if nxt is None:
-                return order
-            order.append(nxt)
-            processed.add(nxt)
+        # done is hereditary, so processed lower covers mean every
+        # predecessor is processed
+        for x in self.nodes:
+            if x not in done and done.issuperset(self._lower[x]):
+                return x
 
     def is_comaximal_family(self, a, parts):
         """True iff join(p, q) = a for every pair of distinct indices."""

@@ -61,10 +61,6 @@ def is_exact(c, position):
     return fgab.kernel(c.maps[position]) == fgab.image(c.maps[position - 1])
 
 
-def is_exact_everywhere(c):
-    return all(is_exact(c, p) for p in range(1, len(c.groups) - 1))
-
-
 _TRIVIAL = fgab.FgGroup()
 
 
@@ -121,13 +117,6 @@ class ShortExact:
                                 (3, "right term (surjectivity)")):
             if not is_exact(self.complex, position):
                 raise NotExactError("sequence fails at the %s" % label)
-
-    def is_valid(self):
-        try:
-            self.validate()
-        except NotExactError:
-            return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, ShortExact) and self.complex == other.complex

@@ -153,15 +153,6 @@ def _gamma1_with_pairs(parts, pair_subs):
     return total
 
 
-def gamma1(parts):
-    """Gamma1 : (+)_{i<j} (G_i meet G_j) -> (+)_i G_i."""
-    pair_subs = {}
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            pair_subs[(i, j)] = parts[i].meet(parts[j])
-    return _gamma1_with_pairs(parts, pair_subs)
-
-
 def check_gamma_exact(inst, I, parts):
     """Exactness certificate for the coefficient-level Gamma complex.
 
@@ -513,8 +504,8 @@ def lift_isomorphism(instA, instB, phi0, phi1, pairing):
         raise LiftHypothesisError("phi1 must map K1(A) to K1(B)")
     _check_pairing(instA, instB, phi0, phi1, pairing)
     n = instA.coeff.n
-    fam_a = build_ideal_splitting(instA)
-    fam_b = build_ideal_splitting(instB)
+    fam_a = build_ideal_splitting(instA, validate=False)
+    fam_b = build_ideal_splitting(instB, validate=False)
     sigma = full_section(instA, fam_a)
     tau = full_section(instB, fam_b)
     fwd_tensor = induced_tensor_hom(phi0, n)

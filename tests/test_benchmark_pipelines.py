@@ -1,0 +1,46 @@
+"""The benchmark's request pipelines still reproduce their recorded
+behaviour.
+
+A small fixed set of pool requests from every workload runs through
+``perfbench/workloads.py`` unedited: each must pass the benchmark's own
+correctness gate and hash to the digest recorded in
+``perfbench/reference.json``.  Nothing is timed.
+"""
+
+import json
+
+from test_benchmark_hooks import PERFBENCH, load
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+def smoke_keys(workloads):
+    """A few requests per workload: corpus instances, one planted defect
+    of each kind, the non-split instance, the smallest dp and Boolean
+    instances, and a plain and a twisted lift."""
+    first_seed = {}
+    for seed, kind in REFERENCE["defects"]:
+        first_seed.setdefault(kind, seed)
+    return {
+        "corpus": ([("inst", s) for s in (0, 1, 2)]
+                   + [("defect", s, k) for k, s in sorted(first_seed.items())]
+                   + [("nonsplit",)]),
+        "dp-chain": [("dp", 4)],
+        "boolean": [("bool", 3, 0)],
+        "lift": [("lift", 0), ("lift", 1)],
+    }
+
+
+def test_pipelines_match_recorded_digests():
+    workloads = load("workloads")
+    ops = workloads.Ops.current()
+    keys = smoke_keys(workloads)
+    assert sorted(keys) == sorted(workloads.WORKLOADS)
+    for name, chosen in keys.items():
+        recorded = REFERENCE["digests"][name]
+        requests = workloads.WORKLOADS[name].make(chosen)
+        assert len(requests) == len(chosen)
+        for req in requests:
+            res = workloads.run_request(ops, req)
+            assert workloads.check(req, res) is None, req.id
+            assert workloads.digest(req, res)[:16] == recorded[req.id], req.id

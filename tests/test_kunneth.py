@@ -24,7 +24,7 @@ from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
 from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
                                 KunnethInstance, check_coherence,
                                 check_family_coherence, five_term_complex,
-                                mod_reduction, validate_instance)
+                                reduction_hom, validate_instance)
 from idealsplit.lattice import IdealLattice
 from idealsplit.sequences import is_exact
 
@@ -256,11 +256,12 @@ def test_five_term_complex_is_exact_for_valid_instance():
 
 def test_mod_reduction_kernel_is_n_times_k0():
     inst, _ = diamond_instance()
-    rho = mod_reduction(inst)
+    rho = reduction_hom(inst.data, inst.coeff)
     assert kernel(rho) == Subgroup(Z2, [[2, 0], [0, 2]])
     tiny, _ = aligned(FgGroup(), FgGroup((2,)), 2,
                       {"bot": ((), ()), "top": ((), (0,))})
-    assert mod_reduction(tiny) == GroupHom.zero(FgGroup(), tiny.coeff.Kn)
+    assert reduction_hom(tiny.data, tiny.coeff) == \
+        GroupHom.zero(FgGroup(), tiny.coeff.Kn)
 
 
 # --- multi-coefficient families -------------------------------------------

@@ -70,7 +70,8 @@ def test_chain_order_and_bounds():
     assert lat.is_bounded_lattice()
     assert lat.is_distributive()
     assert lat.below("2") == ["0", "1"]
-    assert lat.above("0") == ["1", "2"]
+    assert lat.below("2", strict=False) == ["0", "1", "2"]
+    assert [x for x in lat.nodes if "0" in lat.below(x)] == ["1", "2"]
 
 
 def test_maximal_subideals_examples():
@@ -156,9 +157,20 @@ def test_next_ideal_examples():
         lat.next_ideal({"nope"})
 
 
+def processing_order(lat):
+    """The builder's order: iterate next_ideal from nothing processed."""
+    processed, order = set(), []
+    while True:
+        nxt = lat.next_ideal(processed)
+        if nxt is None:
+            return order
+        order.append(nxt)
+        processed.add(nxt)
+
+
 def test_linear_extension_chain_and_diamond():
-    assert chain3().linear_extension() == ["0", "1", "2"]
-    assert diamond().linear_extension() == ["bot", "a", "b", "top"]
+    assert processing_order(chain3()) == ["0", "1", "2"]
+    assert processing_order(diamond()) == ["bot", "a", "b", "top"]
 
 
 def random_poset(rng, size):
@@ -176,14 +188,119 @@ def test_linear_extension_invariants_on_random_posets():
     rng = random.Random(0x1A77)
     for _ in range(40):
         lat = random_poset(rng, rng.randrange(1, 8))
-        order = lat.linear_extension()
+        order = processing_order(lat)
         assert sorted(order) == list(lat.nodes)
         assert len(set(order)) == len(order)
         seen = set()
         for x in order:
             assert all(y in seen for y in lat.below(x))
+            # smallest id among the nodes whose predecessors are all seen
+            ready = [z for z in lat.nodes if z not in seen
+                     and all(y in seen for y in lat.below(z))]
+            assert x == min(ready)
             seen.add(x)
-        assert lat.linear_extension() == order
+        assert processing_order(lat) == order
+
+
+# --- the tables against the scanning definitions ---------------------------
+#
+# Each oracle rescans the nodes through ``leq`` alone, as the lattice did
+# before it kept tables, so the table-backed queries are checked against
+# the order-theoretic definitions rather than against themselves.
+
+def oracle_join(lat, a, b):
+    ubs = [x for x in lat.nodes if lat.leq(a, x) and lat.leq(b, x)]
+    least = [x for x in ubs if all(lat.leq(x, y) for y in ubs)]
+    return least[0] if least else None
+
+
+def oracle_meet(lat, a, b):
+    lbs = [x for x in lat.nodes if lat.leq(x, a) and lat.leq(x, b)]
+    greatest = [x for x in lbs if all(lat.leq(y, x) for y in lbs)]
+    return greatest[0] if greatest else None
+
+
+def oracle_bottom(lat):
+    least = [x for x in lat.nodes if all(lat.leq(x, y) for y in lat.nodes)]
+    return least[0] if least else None
+
+
+def oracle_top(lat):
+    greatest = [x for x in lat.nodes
+                if all(lat.leq(y, x) for y in lat.nodes)]
+    return greatest[0] if greatest else None
+
+
+def oracle_cover_edges(lat):
+    return [(a, b) for a in lat.nodes for b in lat.nodes
+            if a != b and lat.leq(a, b)
+            and not any(c not in (a, b) and lat.leq(a, c) and lat.leq(c, b)
+                        for c in lat.nodes)]
+
+
+def oracle_maximal_subideals(lat, a):
+    strict = [x for x in lat.nodes if x != a and lat.leq(x, a)]
+    return [x for x in strict
+            if not any(y != x and lat.leq(x, y) for y in strict)]
+
+
+def oracle_counterexample(lat):
+    """First failing triple in id order; LatticeError where a meet or
+    join the law needs is missing."""
+    for a in lat.nodes:
+        for b in lat.nodes:
+            for c in lat.nodes:
+                bc, ab, ac = (oracle_join(lat, b, c), oracle_meet(lat, a, b),
+                              oracle_meet(lat, a, c))
+                if None in (bc, ab, ac):
+                    raise LatticeError("missing meet or join")
+                if oracle_meet(lat, a, bc) != oracle_join(lat, ab, ac):
+                    return a, b, c
+    return None
+
+
+def outcome(query):
+    try:
+        return query()
+    except LatticeError:
+        return LatticeError
+
+
+def assert_tables_match_definitions(lat):
+    nodes = lat.nodes
+    for a in nodes:
+        for b in nodes:
+            assert lat.join(a, b) == oracle_join(lat, a, b), (a, b)
+            assert lat.meet(a, b) == oracle_meet(lat, a, b), (a, b)
+        assert lat.maximal_subideals(a) == oracle_maximal_subideals(lat, a)
+    assert lat.bottom() == oracle_bottom(lat)
+    assert lat.top() == oracle_top(lat)
+    assert lat.cover_edges() == oracle_cover_edges(lat)
+    bounded = (oracle_bottom(lat) is not None and oracle_top(lat) is not None
+               and all(oracle_join(lat, a, b) is not None
+                       and oracle_meet(lat, a, b) is not None
+                       for a in nodes for b in nodes))
+    assert lat.is_bounded_lattice() == bounded
+    expected = outcome(lambda: oracle_counterexample(lat))
+    assert outcome(lat.distributivity_counterexample) == expected
+    assert lat.is_distributive() == (bounded and expected is None)
+    return bounded
+
+
+def test_tables_match_definitions_on_named_lattices():
+    for lat in (chain3(), diamond(), m3(), n5(), divisor_lattice(30)[0],
+                divisor_lattice(36)[0]):
+        assert assert_tables_match_definitions(lat)
+
+
+def test_tables_match_definitions_on_random_posets():
+    rng = random.Random(0x7AB1E)
+    bounded = 0
+    for _ in range(60):
+        bounded += assert_tables_match_definitions(
+            random_poset(rng, rng.randrange(1, 8)))
+    # the family mixes lattices with posets missing a meet or a join
+    assert 0 < bounded < 60
 
 
 def test_comaximal_family_examples():

@@ -48,7 +48,6 @@ def test_is_exact_identity_middle():
         (fgab.GroupHom.zero(TRIV, Z4), fgab.GroupHom.identity(Z4),
          fgab.GroupHom.zero(Z4, TRIV)))
     assert sequences.is_exact(c, 1) and sequences.is_exact(c, 2)
-    assert sequences.is_exact_everywhere(c)
     with pytest.raises(IndexError):
         sequences.is_exact(c, 0)
     with pytest.raises(IndexError):
@@ -59,8 +58,8 @@ def test_is_exact_mod2_resolution():
     double = fgab.GroupHom(Z, Z, [[2]])
     reduce2 = fgab.GroupHom(Z, Z2, [[1]])
     s = seq(double, reduce2)
-    assert sequences.is_exact_everywhere(s.complex)
-    assert s.is_valid()
+    assert all(sequences.is_exact(s.complex, p) for p in (1, 2, 3))
+    s.validate()
 
 
 def test_is_exact_detects_middle_failure():
@@ -75,8 +74,7 @@ def test_is_exact_detects_middle_failure():
     assert not sequences.is_exact(s.complex, 2)
     assert sequences.is_exact(s.complex, 1)
     assert sequences.is_exact(s.complex, 3)
-    assert not s.is_valid()
-    with pytest.raises(NotExactError):
+    with pytest.raises(NotExactError, match="middle term"):
         s.validate()
 
 

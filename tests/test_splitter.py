@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from idealsplit import splitter
 from idealsplit.errors import (AmbientMismatchError, GluingError,
                                InstanceValidationError, LiftHypothesisError,
                                MissingSigmaError, NotASplittingError,
@@ -24,16 +25,27 @@ from idealsplit.kunneth import (CoeffGroup, IdealNode, KData,
                                 KunnethInstance, validate_instance)
 from idealsplit.lattice import IdealLattice
 from idealsplit.splitter import (ComplexIso, SplittingFamily,
-                                 build_ideal_splitting, check_gamma_exact,
+                                 _gamma1_with_pairs, build_ideal_splitting,
+                                 check_gamma_exact,
                                  exhaustive_ideal_splittings,
                                  extend_splitting, full_section, gamma0,
-                                 gamma1, glue_comaximal, lift_isomorphism,
+                                 glue_comaximal, lift_isomorphism,
                                  restriction_hom, verify_ideal_splitting)
 
 from test_kunneth import (DIAMOND, Z, Z2, aligned, basis_sub,
                           diamond_instance)
 
 E8 = FgGroup((2, 2, 2))
+
+
+def gamma1(parts):
+    """Gamma1 : (+)_{i<j} (G_i meet G_j) -> (+)_i G_i, from the true
+    meets: the reference for the stored-meet Gamma1 the checker uses."""
+    pair_subs = {}
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            pair_subs[(i, j)] = parts[i].meet(parts[j])
+    return _gamma1_with_pairs(parts, pair_subs)
 
 
 def e(i, rank=3):
@@ -503,5 +515,22 @@ def test_lift_rejects_invalid_instance():
                           list(inst.ideals.values()), inst.order)
     phi0 = GroupHom.identity(inst.data.K0)
     phi1 = GroupHom.identity(inst.data.K1)
-    with pytest.raises(InstanceValidationError):
+    with pytest.raises(InstanceValidationError, match="instance A"):
         lift_isomorphism(bad, inst, phi0, phi1, identity_pairing(inst))
+    with pytest.raises(InstanceValidationError, match="instance B"):
+        lift_isomorphism(inst, bad, phi0, phi1, identity_pairing(inst))
+
+
+def test_lift_validates_each_instance_once(monkeypatch):
+    inst, _ = diamond_instance()
+    seen = []
+
+    def counting(instance):
+        seen.append(instance)
+        return validate_instance(instance)
+
+    monkeypatch.setattr(splitter, "validate_instance", counting)
+    phi0 = GroupHom.identity(inst.data.K0)
+    phi1 = GroupHom.identity(inst.data.K1)
+    lift_isomorphism(inst, inst, phi0, phi1, identity_pairing(inst))
+    assert len(seen) == 2
