@@ -59,9 +59,6 @@ class FgGroup:
     def is_trivial(self):
         return self.rank == 0
 
-    def is_finite(self):
-        return self.free_rank == 0
-
     def is_torsion_free(self):
         return not self.invariant_factors
 
@@ -73,15 +70,6 @@ class FgGroup:
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def exponent(self):
-        """lcm of all element orders; 0 when the group is infinite."""
-        if self.free_rank:
-            return 0
-        e = 1
-        for d in self.invariant_factors:
-            e = _lcm(e, d)
-        return e
 
     def zero(self):
         return (0,) * self.rank
@@ -96,9 +84,6 @@ class FgGroup:
 
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
-
-    def neg(self, a):
-        return self.reduce([-x for x in a])
 
     def sub(self, a, b):
         return self.reduce([x - y for x, y in zip(a, b)])
@@ -396,16 +381,21 @@ class Subgroup:
                         list(self.generators) + list(other.generators))
 
     def meet(self, other):
+        """Intersection by Zassenhaus's method, from one Hermite form.
+
+        The rows ``[b | b]`` (b in self) and ``[c | 0]`` (c in other)
+        span the vectors ``[b + c | b]``.  Left half zero means that
+        ``b = -c`` lies in both subgroups, and every common ``b`` arises
+        so.  In echelon form those vectors are spanned by the rows whose
+        left half is zero.
+        """
         self._check_ambient(other)
-        b1, b2 = self._basis_rows(), other._basis_rows()
         n = self.ambient.rank
-        block = [[b1[k][i] for k in range(len(b1))]
-                 + [-b2[k][i] for k in range(len(b2))] for i in range(n)]
-        gens = []
-        for ker in intmat.kernel_columns(block, cols=len(b1) + len(b2)):
-            gens.append([sum(ker[k] * b1[k][i] for k in range(len(b1)))
-                         for i in range(n)])
-        return Subgroup(self.ambient, gens)
+        rows = [list(b) + list(b) for b in self.generators]
+        rows += [list(c) + [0] * n for c in other.generators]
+        h = intmat.hnf_nonzero(rows, cols=2 * n)
+        return Subgroup(self.ambient,
+                        [row[n:] for row in h if not any(row[:n])])
 
     def as_group(self):
         """The subgroup as an abstract group with its inclusion.
@@ -424,15 +414,19 @@ class Subgroup:
         k = len(basis)
         n = self.ambient.rank
         bt = intmat.transpose(basis, n) if k else intmat.zeros(n, 0)
+
+        def coords(vec):
+            rest, coeffs = intmat.reduce_vector(vec, basis, track=True)
+            return None if any(rest) else coeffs
+
         rel = []
         for i, d in enumerate(self.ambient.orders):
             if not d:
                 continue
-            target = [d if j == i else 0 for j in range(n)]
-            coords = intmat.solve_columns(bt, target, cols=k)
-            if coords is None:
+            c = coords([d if j == i else 0 for j in range(n)])
+            if c is None:
                 raise NotSubgroupError("ambient relation escaped the lattice")
-            rel.append(coords)
+            rel.append(c)
         group, proj, lift = _presentation(rel, gens=k)
         incl_mat = intmat.matmul(bt, lift, bcols=group.rank)
         if not incl_mat:
@@ -440,11 +434,10 @@ class Subgroup:
         incl = GroupHom(group, self.ambient, incl_mat)
 
         def project(vec):
-            coords = intmat.solve_columns(bt, list(vec), cols=k)
-            if coords is None:
+            c = coords(vec)
+            if c is None:
                 return None
-            return group.reduce(intmat.matvec(proj, coords)
-                                if group.rank else [])
+            return group.reduce(intmat.matvec(proj, c) if group.rank else [])
 
         return group, incl, project
 
@@ -457,29 +450,14 @@ class Subgroup:
         return (incl(x) for x in group.elements())
 
     def is_pure(self):
-        """Purity via the retraction criterion.
+        """Purity by comparing invariant factors.
 
-        For finitely generated groups a subgroup is pure iff it is a
-        direct summand, iff a retraction onto it exists; this turns the
-        for-all-n divisibility condition into one linear solve.
+        A subgroup H of a finitely generated G is pure iff it is a direct
+        summand, and by Miyata (J. Math. Kyoto Univ. 7, 1967) that holds
+        iff G is isomorphic to H + G/H, which canonical forms compare.
         """
-        group, incl, _ = self.as_group()
-        if group.is_trivial():
-            return True
-        points = [(incl(e), e) for e in group.gens()]
-        return solve_hom(self.ambient, group, point_constraints=points) is not None
-
-    def is_pure_bruteforce(self):
-        """Direct check of nG + H = nH for every n up to the exponent."""
-        amb = self.ambient
-        if not amb.is_finite():
-            raise SizeBoundError("brute-force purity needs a finite ambient")
-        for n in range(1, amb.exponent() + 1):
-            ng = Subgroup(amb, [amb.scale(n, e) for e in amb.gens()])
-            nh = Subgroup(amb, [[n * x for x in row] for row in self.generators])
-            if ng.meet(self) != nh:
-                return False
-        return True
+        sub, quo = self.as_group()[0], quotient(self.ambient, self)[0]
+        return direct_sum([sub, quo])[0] == self.ambient
 
 
 # --- kernels, images, quotients ----------------------------------------
@@ -702,12 +680,12 @@ def solve_hom(domain, codomain, point_constraints=(), left_constraints=()):
     return GroupHom(domain, codomain, matrix)
 
 
-def hom_preimage(f, target, variant="min"):
+def hom_preimage(f, target):
     """Canonical preimage of one element under a hom, or None."""
     target = f.codomain.reduce(target)
     res = intmat.solve_congruences(
         f._rows(), list(target), list(f.codomain.orders),
-        f.domain.rank, list(f.domain.orders), variant)
+        f.domain.rank, list(f.domain.orders))
     if res is None:
         return None
     return f.domain.reduce(res[0])

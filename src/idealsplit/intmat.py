@@ -1,4 +1,4 @@
-"""Exact integer matrix kernel: Smith and Hermite forms, linear solvers.
+"""Exact integer matrices: Smith and Hermite forms, one congruence solver.
 
 Matrices are plain lists of lists of Python ints, row major, so every
 computation is exact at any size.  A matrix with zero rows carries no
@@ -13,10 +13,10 @@ Conventions used throughout the package:
   entries above a pivot reduced into ``[0, pivot)``, zero rows at the
   bottom.  Two row sets span the same lattice iff their canonical forms
   agree.
-* ``solve_congruences`` is the one affine solver everything else calls.
-  It returns a canonical solution of a mixed system of congruences and
-  equations: the lexicographically least admissible tuple whenever every
-  variable carries a finite modulus.
+* ``solve_congruences`` is the one linear solver.  It returns a
+  canonical solution of a mixed system of congruences and equations: the
+  lexicographically least admissible tuple whenever every variable
+  carries a finite modulus.
 """
 
 
@@ -283,13 +283,6 @@ def column_echelon(mat, cols=None):
     return h, v, pivots
 
 
-def kernel_columns(mat, cols=None):
-    """Basis of ``{x : mat @ x = 0}``, one vector per list entry."""
-    r, c = shape(mat, cols)
-    h, v, pivots = column_echelon(mat, c)
-    return [[v[i][k] for i in range(c)] for k in range(len(pivots), c)]
-
-
 def _solve_echelon(h, pivots, rhs):
     res = list(rhs)
     y = {}
@@ -307,23 +300,6 @@ def _solve_echelon(h, pivots, rhs):
     return y
 
 
-def solve_columns(mat, rhs, cols=None):
-    """One integer solution of ``mat @ x = rhs``, or None.
-
-    The solution is deterministic: back substitution along the canonical
-    column echelon form.
-    """
-    r, c = shape(mat, cols)
-    if len(rhs) != r:
-        raise ValueError("rhs length mismatch")
-    h, v, pivots = column_echelon(mat, c)
-    y = _solve_echelon(h, pivots, rhs)
-    if y is None:
-        return None
-    yvec = [y.get(k, 0) for k in range(c)]
-    return matvec(v, yvec)
-
-
 def reduce_vector(vec, basis, track=False):
     """Reduce ``vec`` by canonical-HNF ``basis`` rows, left to right.
 
@@ -331,7 +307,8 @@ def reduce_vector(vec, basis, track=False):
     quotient per basis row when ``track`` is set.  Against a canonical
     Hermite basis the result is the unique representative of the coset
     ``vec + lattice`` whose pivot coordinates lie in ``[0, pivot)``, and
-    reduction to zero is exactly lattice membership.
+    reduction to zero is exactly lattice membership.  The basis rows are
+    independent, so the quotients of a member are its unique coordinates.
     """
     w = list(vec)
     coeffs = []
@@ -354,7 +331,7 @@ def lattice_contains(vec, basis):
     return not any(reduce_vector(vec, basis))
 
 
-def solve_congruences(rows, rhs, row_mods, nvars, var_mods, variant="min"):
+def solve_congruences(rows, rhs, row_mods, nvars, var_mods):
     """Canonical solution of a mixed linear system over the integers.
 
     Row ``i`` imposes ``sum_j rows[i][j] * x[j] == rhs[i]`` modulo
@@ -366,8 +343,7 @@ def solve_congruences(rows, rhs, row_mods, nvars, var_mods, variant="min"):
     (variable moduli folded in), so the full solution set is
     ``sol + lattice``.  ``sol`` is the unique reduced representative;
     with all variable moduli finite it is the lexicographically least
-    admissible tuple.  ``variant="revmin"`` canonicalizes with reversed
-    coordinate priority, giving a second deterministic representative.
+    admissible tuple.
 
     >>> solve_congruences([[1]], [1], [2], 1, [4])
     ([1], [[2]])
@@ -406,12 +382,4 @@ def solve_congruences(rows, rhs, row_mods, nvars, var_mods, variant="min"):
         if var_mods[j]:
             gens.append([var_mods[j] if jj == j else 0 for jj in range(nvars)])
     lattice = hnf_nonzero(gens, cols=nvars)
-
-    if variant == "min":
-        sol = reduce_vector(part, lattice)
-    elif variant == "revmin":
-        rlat = hnf_nonzero([row[::-1] for row in gens], cols=nvars)
-        sol = reduce_vector(part[::-1], rlat)[::-1]
-    else:
-        raise ValueError("unknown variant: %r" % (variant,))
-    return sol, lattice
+    return reduce_vector(part, lattice), lattice

