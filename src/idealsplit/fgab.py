@@ -231,7 +231,7 @@ class GroupHom:
 
     def __call__(self, vec):
         vec = self.domain.reduce(vec)
-        return self.codomain.reduce(intmat.matvec(self._rows(), list(vec)))
+        return self.codomain.reduce(intmat.matvec(self.matrix, list(vec)))
 
     def __matmul__(self, other):
         if not isinstance(other, GroupHom):
@@ -341,7 +341,7 @@ class Subgroup:
     def contains(self, vec):
         if len(vec) != self.ambient.rank:
             raise AmbientMismatchError("element size does not match ambient")
-        return intmat.lattice_contains(list(vec), self._basis_rows())
+        return intmat.lattice_contains(list(vec), self.generators)
 
     __contains__ = contains
 

@@ -82,12 +82,15 @@ def matvec(a, vec):
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in a]
 
 
-def hnf_rows(mat, cols=None):
+def hnf_rows(mat, cols=None, transform=True):
     """Canonical row Hermite normal form with its transformation.
 
     Returns ``(h, u)`` where ``h = u @ mat``, ``u`` is unimodular, pivots
     of ``h`` are positive with entries above each pivot reduced into
-    ``[0, pivot)``, and zero rows sit at the bottom.
+    ``[0, pivot)``, and zero rows sit at the bottom.  With ``transform``
+    off no ``u`` is built and ``(h, None)`` is returned.  Every row
+    update starts at the pivot column, since the pivot row is zero to
+    its left.
 
     >>> h, u = hnf_rows([[2, 4], [6, 8]])
     >>> h
@@ -95,15 +98,16 @@ def hnf_rows(mat, cols=None):
     """
     r, c = shape(mat, cols)
     h = clone(mat)
-    u = identity(r)
+    u = identity(r) if transform else None
 
-    def row_sub(i, k, q):
+    def row_sub(i, k, q, col):
         hi, hk = h[i], h[k]
-        for j in range(c):
+        for j in range(col, c):
             hi[j] -= q * hk[j]
-        ui, uk = u[i], u[k]
-        for j in range(r):
-            ui[j] -= q * uk[j]
+        if transform:
+            ui, uk = u[i], u[k]
+            for j in range(r):
+                ui[j] -= q * uk[j]
 
     cur = 0
     for col in range(c):
@@ -119,21 +123,23 @@ def hnf_rows(mat, cols=None):
                 break
             if best != cur:
                 h[cur], h[best] = h[best], h[cur]
-                u[cur], u[best] = u[best], u[cur]
+                if transform:
+                    u[cur], u[best] = u[best], u[cur]
             if h[cur][col] < 0:
                 h[cur] = [-x for x in h[cur]]
-                u[cur] = [-x for x in u[cur]]
+                if transform:
+                    u[cur] = [-x for x in u[cur]]
             pivot = h[cur][col]
             clean = True
             for i in range(cur + 1, r):
                 if h[i][col]:
-                    row_sub(i, cur, h[i][col] // pivot)
+                    row_sub(i, cur, h[i][col] // pivot, col)
                     if h[i][col]:
                         clean = False
             if clean:
                 for i in range(cur):
                     if h[i][col]:
-                        row_sub(i, cur, h[i][col] // pivot)
+                        row_sub(i, cur, h[i][col] // pivot, col)
                 cur += 1
                 break
     return h, u
@@ -141,7 +147,7 @@ def hnf_rows(mat, cols=None):
 
 def hnf_nonzero(rows, cols=None):
     """Nonzero rows of the canonical Hermite form: the lattice's id card."""
-    h, _ = hnf_rows(rows, cols)
+    h, _ = hnf_rows(rows, cols, transform=False)
     return [row for row in h if any(row)]
 
 
@@ -309,14 +315,18 @@ def reduce_vector(vec, basis, track=False):
     ``vec + lattice`` whose pivot coordinates lie in ``[0, pivot)``, and
     reduction to zero is exactly lattice membership.  The basis rows are
     independent, so the quotients of a member are its unique coordinates.
+    The pivots of a canonical basis strictly increase, so the search for
+    each row's pivot resumes just after the previous one.
     """
     w = list(vec)
     coeffs = []
+    start = 0
     for row in basis:
-        pj = next((j for j in range(len(row)) if row[j]), None)
+        pj = next((j for j in range(start, len(row)) if row[j]), None)
         if pj is None:
             coeffs.append(0)
             continue
+        start = pj + 1
         q = w[pj] // row[pj]
         if q:
             for j in range(pj, len(row)):

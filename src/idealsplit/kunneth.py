@@ -334,6 +334,14 @@ def _sub_leq(a, b, label):
 
 
 def _sub_eq(a, b, label):
+    """Subgroup equality, witnessed on failure.
+
+    Subgroups keep canonical generators, so ``a == b`` settles equality
+    at once.  Only otherwise do the generator scans run: they decide the
+    verdict and name the witness of a failure.
+    """
+    if a == b:
+        return True, None
     w = _missing_from(a, b)
     if w is not None:
         return False, "%s: element %r only on the left" % (label, tuple(w))

@@ -11,7 +11,10 @@ another way:
   and ``Subgroup.meet`` on them;
 * ``retraction_pure`` decides purity by solving for a retraction, and
   ``is_pure_bruteforce`` checks ``nG meet H = nH`` for every n up to
-  the exponent.
+  the exponent;
+* ``full_scan_reduce`` searches every basis row's pivot from column 0,
+  and ``scan_sub_eq`` decides subgroup equality by a membership scan of
+  every generator in both directions.
 """
 
 from idealsplit import fgab, intmat
@@ -127,3 +130,33 @@ def is_pure_bruteforce(sub):
         if kernel_meet(ng, sub) != nh:
             return False
     return True
+
+
+def full_scan_reduce(vec, basis, track=False):
+    """``intmat.reduce_vector`` with each pivot searched from column 0."""
+    w = list(vec)
+    coeffs = []
+    for row in basis:
+        pj = next((j for j in range(len(row)) if row[j]), None)
+        if pj is None:
+            coeffs.append(0)
+            continue
+        q = w[pj] // row[pj]
+        if q:
+            for j in range(pj, len(row)):
+                w[j] -= q * row[j]
+        coeffs.append(q)
+    if track:
+        return w, coeffs
+    return w
+
+
+def scan_sub_eq(a, b, label):
+    """``kunneth._sub_eq`` as a membership scan both ways, every time."""
+    for g in a.generators:
+        if not b.contains(g):
+            return False, "%s: element %r only on the left" % (label, tuple(g))
+    for g in b.generators:
+        if not a.contains(g):
+            return False, "%s: element %r only on the right" % (label, tuple(g))
+    return True, None

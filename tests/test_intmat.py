@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealsplit import intmat
-from oracles import kernel_columns, solve_columns
+from oracles import full_scan_reduce, kernel_columns, solve_columns
 
 
 # --- oracles -----------------------------------------------------------
@@ -179,6 +179,22 @@ def test_hnf_canonical_shape_seeded():
         assert_canonical_hnf(h)
         assert intmat.matmul(u, mat) == h
         assert is_unimodular(u)
+        # the same rows without the transform
+        assert intmat.hnf_rows(mat, transform=False) == (h, None)
+        assert intmat.hnf_nonzero(mat) == [row for row in h if any(row)]
+
+
+def test_hnf_matches_sympy():
+    # sympy orders its Hermite form differently, so compare lattices:
+    # canonicalize sympy's rows and ask for the same id card
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+    rng = random.Random(0x5EED7)
+    for _ in range(299):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = random_matrix(rng, rows, cols)
+        theirs = hermite_normal_form(Matrix(mat).T).T.tolist()
+        assert intmat.hnf_nonzero(theirs, cols) == intmat.hnf_nonzero(mat)
 
 
 def test_hnf_is_lattice_invariant():
@@ -210,6 +226,29 @@ def test_reduce_vector_membership():
     for q, row in zip(coeffs, basis):
         acc = [a + q * b for a, b in zip(acc, row)]
     assert acc == member
+
+
+def test_reduce_vector_matches_full_scan():
+    rng = random.Random(0x5EED8)
+    members = 0
+    for _ in range(150):
+        cols = rng.randint(1, 6)
+        basis = intmat.hnf_nonzero(
+            random_matrix(rng, rng.randint(1, 5), cols, -6, 6), cols)
+        for _ in range(4):
+            # half members, so both zero and nonzero remainders occur
+            if rng.random() < 0.5:
+                vec = [0] * cols
+                for row in basis:
+                    q = rng.randint(-3, 3)
+                    vec = [v + q * b for v, b in zip(vec, row)]
+            else:
+                vec = [rng.randint(-30, 30) for _ in range(cols)]
+            for track in (False, True):
+                assert intmat.reduce_vector(vec, basis, track) \
+                    == full_scan_reduce(vec, basis, track)
+            members += not any(intmat.reduce_vector(vec, basis))
+    assert 0 < members < 600
 
 
 # --- the column-echelon oracles other tests compare against ------------

@@ -11,16 +11,19 @@ the expectations independent of the module under test.
 """
 
 import collections
+import random
 from math import gcd
 
 import pytest
 
+from idealsplit import intmat, kunneth
 from idealsplit.errors import (AmbientMismatchError, HomDefinitionError,
                                LatticeError, MissingMapError,
                                MissingSigmaError)
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
                              image_subgroup, kernel, n_torsion_group,
                              preimage_subgroup, tensor_zmod)
+from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
                                 KunnethInstance, check_coherence,
                                 check_family_coherence, five_term_complex,
@@ -28,6 +31,8 @@ from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
 from idealsplit.lattice import IdealLattice
 from idealsplit.sequences import is_exact
 
+from oracles import scan_sub_eq
+from test_fgab import random_group, random_subgroup
 from test_lattice import n5
 
 Z = FgGroup((), 1)
@@ -207,6 +212,82 @@ def test_failure_witnesses_are_pinned():
                              list(inst.ideals.values()), inst.order)
     assert validate_instance(mutant).find(
         "sequence-exact:rho-injective").witness == "kernel contains (1, 1)"
+
+
+def test_sub_eq_matches_scan_oracle():
+    rng = random.Random(0x5EB1)
+    seen = collections.Counter()
+    for _ in range(240):
+        g = random_group(rng, max_factors=2, max_free=2)
+        h = random_subgroup(rng, g)
+        kind = rng.randrange(4)
+        if kind == 0:
+            # the same subgroup from another generating set
+            gens = [list(r) for r in h.generators]
+            for _ in range(3 if len(gens) > 1 else 0):
+                i, j = rng.sample(range(len(gens)), 2)
+                q = rng.randint(-3, 3)
+                gens[i] = [a + q * b for a, b in zip(gens[i], gens[j])]
+            rng.shuffle(gens)
+            k = Subgroup(g, gens)
+        elif kind == 1:
+            k = h.join(random_subgroup(rng, g))
+        elif kind == 2:
+            k = random_subgroup(rng, g)
+        else:
+            # same rank, other ambient: a free group of that rank, on
+            # h's own generators (equal tuples) or on random ones
+            free = FgGroup((), g.rank)
+            k = Subgroup(free, h.generators if rng.random() < 0.5
+                         else random_subgroup(rng, free).generators)
+        for a, b in ((h, k), (k, h)):
+            got = kunneth._sub_eq(a, b, "pair")
+            assert got == scan_sub_eq(a, b, "pair")
+            if got[0]:
+                seen["equal" if a == b else "other ambient"] += 1
+            else:
+                seen[got[1].rpartition(" ")[2]] += 1
+    assert set(seen) == {"equal", "other ambient", "left", "right"}, seen
+    assert sum(seen.values()) >= 200
+
+
+def test_valid_instances_never_scan_for_witnesses(monkeypatch):
+    # every equality holds on a valid instance and equal canonical
+    # subgroups compare equal, so a generator scan inside _sub_eq is
+    # wasted work; so is a transform built for hnf_nonzero
+    seen = collections.Counter()
+    depth = [0]
+    sub_eq, missing_from = kunneth._sub_eq, kunneth._missing_from
+    hnf_nonzero, hnf_rows = intmat.hnf_nonzero, intmat.hnf_rows
+
+    def counted_sub_eq(*args):
+        depth[0] += 1
+        try:
+            return sub_eq(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_missing_from(a, b):
+        seen["scans inside _sub_eq"] += depth[0] > 0
+        return missing_from(a, b)
+
+    def counted_hnf_nonzero(*args, **kwargs):
+        seen["hnf_nonzero"] += 1
+        return hnf_nonzero(*args, **kwargs)
+
+    def counted_hnf_rows(*args, transform=True, **kwargs):
+        seen["hnf_rows without transform"] += not transform
+        return hnf_rows(*args, transform=transform, **kwargs)
+
+    monkeypatch.setattr(kunneth, "_sub_eq", counted_sub_eq)
+    monkeypatch.setattr(kunneth, "_missing_from", counted_missing_from)
+    monkeypatch.setattr(intmat, "hnf_nonzero", counted_hnf_nonzero)
+    monkeypatch.setattr(intmat, "hnf_rows", counted_hnf_rows)
+    for inst in [dp_truncation(2, 8, 7)] + [random_instance(s)
+                                            for s in range(4)]:
+        assert validate_instance(inst).failures() == []
+    assert seen["scans inside _sub_eq"] == 0
+    assert seen["hnf_rows without transform"] == seen["hnf_nonzero"] > 0
 
 
 def test_constructor_rejects_structural_breakage():
