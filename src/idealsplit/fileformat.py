@@ -11,6 +11,7 @@ explicitly so dimension bugs surface at parse time.
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 from .errors import IdealSplitError, SchemaError
 from .fgab import FgGroup, GroupHom, Subgroup, n_torsion_group, tensor_zmod
@@ -20,6 +21,16 @@ from .lattice import IdealLattice
 from .splitter import ComplexIso, SplittingFamily
 
 SCHEMA_VERSION = "1"
+
+
+@contextmanager
+def _schema(where):
+    """Turn a library error raised while building an object from a
+    document into a SchemaError located at ``where``."""
+    try:
+        yield
+    except (IdealSplitError, ValueError, TypeError) as exc:
+        raise SchemaError("%s: %s" % (where, exc))
 
 
 def _check_keys(obj, where, required, optional=()):
@@ -74,10 +85,8 @@ def group_from_json(obj, where):
                for d in _list(obj["invariant_factors"],
                               where + ".invariant_factors")]
     rank = _int(obj["free_rank"], where + ".free_rank")
-    try:
+    with _schema(where):
         return FgGroup(tuple(factors), rank)
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
 
 
 def matrix_to_json(hom):
@@ -109,10 +118,8 @@ def hom_from_json(obj, domain, codomain, where):
         raise SchemaError(
             "%s: shape %dx%d does not fit a map of rank %d into rank %d"
             % (where, rows, cols, domain.rank, codomain.rank))
-    try:
+    with _schema(where):
         return GroupHom(domain, codomain, entries)
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
 
 
 def _vectors_from_json(obj, ambient, where):
@@ -127,10 +134,8 @@ def _vectors_from_json(obj, ambient, where):
 
 
 def _subgroup_from_json(obj, ambient, where):
-    try:
+    with _schema(where):
         return Subgroup(ambient, _vectors_from_json(obj, ambient, where))
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
 
 
 # --- instances ---------------------------------------------------------------
@@ -174,20 +179,16 @@ def instance_from_json(doc):
     K0 = group_from_json(doc["groups"]["K0"], where + ".groups.K0")
     K1 = group_from_json(doc["groups"]["K1"], where + ".groups.K1")
     Kn = group_from_json(doc["groups"]["Kn"], where + ".groups.Kn")
-    try:
+    with _schema(where + ".n"):
         T, _ = tensor_zmod(K0, n)
         T1, _ = n_torsion_group(K1, n)
-    except (IdealSplitError, ValueError) as exc:
-        raise SchemaError("%s.n: %s" % (where, exc))
     _check_keys(doc["maps"], where + ".maps", ("rho_tilde", "beta_tilde"))
     rho = hom_from_json(doc["maps"]["rho_tilde"], T, Kn,
                         where + ".maps.rho_tilde")
     beta = hom_from_json(doc["maps"]["beta_tilde"], Kn, T1,
                          where + ".maps.beta_tilde")
-    try:
+    with _schema(where):
         coeff = CoeffGroup(n, Kn, rho, beta)
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
 
     _check_keys(doc["lattice"], where + ".lattice", ("nodes", "edges"))
     ids = [_str(x, where + ".lattice.nodes")
@@ -204,10 +205,8 @@ def instance_from_json(doc):
             raise SchemaError("%s.lattice.edges[%d]: unknown node in %r"
                               % (where, i, (a, b)))
         edges.append((a, b))
-    try:
+    with _schema(where + ".lattice"):
         order = IdealLattice(ids, edges)
-    except (IdealSplitError, ValueError) as exc:
-        raise SchemaError("%s.lattice: %s" % (where, exc))
 
     ideals = doc["ideals"]
     _check_keys(ideals, where + ".ideals", tuple(order.nodes))
@@ -220,10 +219,8 @@ def instance_from_json(doc):
             i, _subgroup_from_json(rec["K0"], K0, w + ".K0"),
             _subgroup_from_json(rec["K1"], K1, w + ".K1"),
             _subgroup_from_json(rec["Kn"], Kn, w + ".Kn")))
-    try:
+    with _schema(where):
         inst = KunnethInstance(KData(K0, K1), coeff, nodes, order)
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
     family = None
     if "coherent_family" in doc:
         family = family_from_json(doc["coherent_family"], inst.data,
@@ -284,18 +281,14 @@ def family_from_json(obj, data, where="coherent_family"):
         w = "%s.coeff_groups.%s" % (where, n)
         _check_keys(rec, w, ("Kn", "rho_tilde", "beta_tilde"))
         Kn = group_from_json(rec["Kn"], w + ".Kn")
-        try:
+        with _schema(w):
             T, _ = tensor_zmod(data.K0, n)
             T1, _ = n_torsion_group(data.K1, n)
-        except (IdealSplitError, ValueError) as exc:
-            raise SchemaError("%s: %s" % (w, exc))
         models[n] = (T, T1, Kn)
         rho = hom_from_json(rec["rho_tilde"], T, Kn, w + ".rho_tilde")
         beta = hom_from_json(rec["beta_tilde"], Kn, T1, w + ".beta_tilde")
-        try:
+        with _schema(w):
             coeffs[n] = CoeffGroup(n, Kn, rho, beta)
-        except (IdealSplitError, ValueError, TypeError) as exc:
-            raise SchemaError("%s: %s" % (w, exc))
     kappa = {}
     for key, rec in obj["kappa"].items():
         m, n = _pair_key(key, ns, where + ".kappa")
@@ -313,10 +306,8 @@ def family_from_json(obj, data, where="coherent_family"):
             n = _coeff_key(key, ns, where + ".sigmas")
             sigmas[n] = hom_from_json(rec, models[n][1], models[n][2],
                                       "%s.sigmas.%s" % (where, key))
-    try:
+    with _schema(where):
         return CoherentFamily(data, coeffs, kappa, lam, sigmas)
-    except (IdealSplitError, ValueError, TypeError) as exc:
-        raise SchemaError("%s: %s" % (where, exc))
 
 
 # --- splitting families and isomorphisms -------------------------------------

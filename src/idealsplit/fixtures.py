@@ -46,15 +46,6 @@ class GenBounds(NamedTuple):
     max_rank: int = 3
 
 
-class DpTruncation(NamedTuple):
-    p: int
-    m: int
-    k_max: int
-
-    def instance(self):
-        return dp_truncation(self.p, self.m, self.k_max)
-
-
 def sum_model(K0, K1, n):
     T, pi = tensor_zmod(K0, n)
     T1, incl = n_torsion_group(K1, n)
@@ -142,14 +133,12 @@ def twist_instance(inst, h):
 
 
 def _sum_shape(inst):
-    """The aligned pieces when Kn is literally the tracked direct sum,
-    else None."""
-    T, _ = inst.tensor()
-    T1, _ = inst.torsion()
-    kn, (i1, i2), (p1, p2) = direct_sum([T, T1])
-    if kn == inst.coeff.Kn and inst.coeff.rho_tilde == i1 \
-            and inst.coeff.beta_tilde == p2:
-        return i1, i2, p1, p2
+    """The instance's SumModel when Kn is literally the tracked direct
+    sum with rho_tilde = i1 and beta_tilde = p2, else None."""
+    model = sum_model(inst.data.K0, inst.data.K1, inst.coeff.n)
+    if model.Kn == inst.coeff.Kn and inst.coeff.rho_tilde == model.i1 \
+            and inst.coeff.beta_tilde == model.p2:
+        return model
     return None
 
 
@@ -161,16 +150,14 @@ def transported_instance(inst, phi0, phi1, h=None):
     coefficient data, so lift_isomorphism(inst, other, phi0, phi1,
     pairing) has exactly its hypotheses satisfied.
     """
-    shape = _sum_shape(inst)
-    if shape is None:
+    model = _sum_shape(inst)
+    if model is None:
         raise LatticeError("instance is not in aligned direct-sum form")
     n = inst.coeff.n
     # theta moves the tensor block by phi0 (x) id and the torsion block
     # by the induced map on n-torsion
-    _, (j1, j2), (q1, q2) = direct_sum([inst.tensor()[0],
-                                        inst.torsion()[0]])
-    theta = (j1 @ induced_tensor_hom(phi0, n) @ q1) + \
-        (j2 @ induced_torsion_hom(phi1, n) @ q2)
+    theta = (model.i1 @ induced_tensor_hom(phi0, n) @ model.p1) + \
+        (model.i2 @ induced_torsion_hom(phi1, n) @ model.p2)
     if h is not None:
         theta = (GroupHom.identity(inst.coeff.Kn)
                  + (inst.coeff.rho_tilde @ h @ inst.coeff.beta_tilde)) @ theta
@@ -423,16 +410,7 @@ def _nonzero_gens(sub):
     return out
 
 
-def _rebuild(inst, shape, id, K0_sub, K1_sub):
-    i1, i2, _, _ = shape
-    _, pi = inst.tensor()
-    _, incl = inst.torsion()
-    kn = image_subgroup(i1, image_subgroup(pi, K0_sub)).join(
-        image_subgroup(i2, preimage_subgroup(incl, K1_sub)))
-    return IdealNode(id, K0_sub, K1_sub, kn)
-
-
-def _candidates_exactness(inst, shape):
+def _candidates_exactness(inst, model):
     T, _ = inst.tensor()
     rho = inst.coeff.rho_tilde
     for id in _mid_ideals(inst):
@@ -448,17 +426,16 @@ def _candidates_exactness(inst, shape):
                               node.Kn_sub.join(extra)))
 
 
-def _candidates_naturality(inst, shape):
-    if shape is None:
+def _candidates_naturality(inst, model):
+    if model is None:
         return
-    _, i2, _, _ = shape
     T1, _ = inst.torsion()
     for id in _mid_ideals(inst):
         node = inst.node(id)
         tor = inst.torsion_sub(id)
         for x in T1.gens():
             if not tor.contains(x):
-                extra = Subgroup(inst.coeff.Kn, [list(i2(x))])
+                extra = Subgroup(inst.coeff.Kn, [list(model.i2(x))])
                 yield inst.with_replaced_node(
                     IdealNode(id, node.K0_sub, node.K1_sub,
                               node.Kn_sub.join(extra)))
@@ -469,11 +446,11 @@ def _scaled_gens(gens, at, q):
             for k, g in enumerate(gens)]
 
 
-def _candidates_purity(inst, shape):
+def _candidates_purity(inst, model):
     # purity defects live on the torsion side: scaling a K1 generator
     # by q with q^2 | order lands strictly inside a cyclic layer, so a
     # torsion-free K1 admits no candidate at all
-    if shape is None:
+    if model is None:
         return
     K1 = inst.data.K1
     for id in _mid_ideals(inst):
@@ -486,7 +463,7 @@ def _candidates_purity(inst, shape):
             for q in (q for q in (2, 3, 5, 7) if d % (q * q) == 0):
                 sub = Subgroup(K1, _scaled_gens(k1gens, at, q))
                 yield inst.with_replaced_node(
-                    _rebuild(inst, shape, id, node.K0_sub, sub))
+                    _aligned_node(model, id, node.K0_sub, sub))
 
 
 def _incomparable_pairs(inst):
@@ -497,8 +474,8 @@ def _incomparable_pairs(inst):
                 yield ids[x], ids[y]
 
 
-def _candidates_lattice_law(inst, shape):
-    if shape is None:
+def _candidates_lattice_law(inst, model):
+    if model is None:
         return
     K1 = inst.data.K1
     for i, j in _incomparable_pairs(inst):
@@ -506,13 +483,13 @@ def _candidates_lattice_law(inst, shape):
             bigger = inst.node(dst).K1_sub.join(inst.node(src).K1_sub)
             if bigger != inst.node(dst).K1_sub:
                 yield inst.with_replaced_node(
-                    _rebuild(inst, shape, dst, inst.node(dst).K0_sub,
-                             bigger))
+                    _aligned_node(model, dst, inst.node(dst).K0_sub,
+                                  bigger))
         m = inst.order.meet(i, j)
         if m is not None and not inst.node(m).K1_sub.is_zero():
             yield inst.with_replaced_node(
-                _rebuild(inst, shape, m, inst.node(m).K0_sub,
-                         Subgroup.zero(K1)))
+                _aligned_node(model, m, inst.node(m).K0_sub,
+                              Subgroup.zero(K1)))
 
 
 def _diagonal(sub_i, sub_j, sub_m, ambient):
@@ -535,8 +512,8 @@ def _diagonal(sub_i, sub_j, sub_m, ambient):
     return sub_m.join(Subgroup(ambient, sums))
 
 
-def _candidates_distributivity(inst, shape):
-    if shape is None:
+def _candidates_distributivity(inst, model):
+    if model is None:
         return
     for i, j in _incomparable_pairs(inst):
         m, u = inst.order.meet(i, j), inst.order.join(i, j)
@@ -550,9 +527,9 @@ def _candidates_distributivity(inst, shape):
         if d0 is None and d1 is None:
             continue
         name = _fresh_id("d", set(inst.order.nodes))
-        node = _rebuild(inst, shape, name,
-                        d0 if d0 is not None else nm.K0_sub,
-                        d1 if d1 is not None else nm.K1_sub)
+        node = _aligned_node(model, name,
+                             d0 if d0 is not None else nm.K0_sub,
+                             d1 if d1 is not None else nm.K1_sub)
         yield inst.with_added_node(node, below=[m], above=[u])
 
 
@@ -576,8 +553,8 @@ def plant_defect(inst, kind):
     if not base.ok:
         raise DefectNotApplicableError("instance is already invalid")
     prefix = _DEFECT_PREFIX[kind]
-    shape = _sum_shape(inst)
-    for cand in _CANDIDATES[kind](inst, shape):
+    model = _sum_shape(inst)
+    for cand in _CANDIDATES[kind](inst, model):
         failures = validate_instance(cand).failures()
         if failures and all(r.name.startswith(prefix) for r in failures):
             return cand

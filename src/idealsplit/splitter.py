@@ -9,8 +9,11 @@ gets the canonical solution of one congruence system (the only
 extension path; it is complete, so None means no extension exists), and
 an ideal with several maximal subideals is glued from them along the
 Gamma complex, with the well-definedness of the glue verified rather
-than assumed.  exhaustive_ideal_splittings is the independent
-brute-force cross-check of the builder.
+than assumed.  Each glue builds its Gamma complex once:
+check_gamma_exact constructs and certifies it, and glue_comaximal
+reuses its Gamma0, projections and pair restriction maps.
+exhaustive_ideal_splittings is the independent brute-force
+cross-check of the builder.
 
 Everything here is deterministic: solver solutions are canonical
 (lexicographically least), the glued section does not depend on which
@@ -28,7 +31,8 @@ from .errors import (AmbientMismatchError, GluingError,
 from .fgab import (GroupHom, direct_sum, hom_preimage, image,
                    image_subgroup, induced_tensor_hom, induced_torsion_hom,
                    solve_hom)
-from .kunneth import ValidationReport, check_runner, validate_instance
+from .kunneth import (ValidationReport, _missing_from, check_runner,
+                      validate_instance)
 from .sequences import ShortExact, enumerate_splittings
 
 
@@ -80,9 +84,24 @@ class ComplexIso:
         return "ComplexIso(%d ideals)" % len(self.pairing)
 
 
+class GammaComplex(NamedTuple):
+    """The pieces of a certified Gamma complex that gluing reuses.
+
+    ``gamma0`` maps the direct sum of the parts' K1(part)[n] to K1[n],
+    ``projections`` are that sum's projections, one per part, and
+    ``restrictions[(i, j)]`` is ``(meet, into_i, into_j)``: the stored
+    lattice meet of parts i < j and the coordinates of K1(meet)[n]
+    inside each of the two parts.
+    """
+    gamma0: GroupHom
+    projections: list
+    restrictions: dict
+
+
 class GammaResult(NamedTuple):
     ok: bool
     witness: Optional[str]
+    complex: Optional[GammaComplex] = None
 
 
 # --- the Gamma complex -----------------------------------------------------
@@ -95,12 +114,6 @@ def _common_ambient(parts):
         if p.ambient != ambient:
             raise AmbientMismatchError("parts live in different groups")
     return ambient
-
-
-def _gamma_setup(parts):
-    abstr = [p.as_group() for p in parts]
-    d0, inj, proj = direct_sum([g for g, _, _ in abstr])
-    return abstr, d0, inj, proj
 
 
 def _coords_hom(src_group, src_incl, dst):
@@ -122,36 +135,34 @@ def _coords_hom(src_group, src_incl, dst):
 
 
 def gamma0(parts):
-    """Gamma0 : (+)_i G_i -> H, summing the coordinate inclusions."""
+    """Gamma0 : (+)_i G_i -> H, summing the coordinate inclusions.
+
+    Returns ``(gamma0, injections, projections)``, the last two those of
+    the direct sum (+)_i G_i.
+    """
     ambient = _common_ambient(parts)
-    abstr, d0, inj, proj = _gamma_setup(parts)
+    abstr = [p.as_group() for p in parts]
+    d0, inj, proj = direct_sum([g for g, _, _ in abstr])
     total = GroupHom.zero(d0, ambient)
-    for (g, incl, _), pr in zip(abstr, proj):
+    for (_, incl, _), pr in zip(abstr, proj):
         total = total + (incl @ pr)
-    return total
+    return total, inj, proj
 
 
-def _gamma1_with_pairs(parts, pair_subs):
-    """Gamma1 with injectable pair data: pair_subs[(i, j)] is the
-    subgroup standing in for G_i meet G_j."""
-    _common_ambient(parts)
-    abstr, d0, inj, proj = _gamma_setup(parts)
-    pair_list = []
-    maps = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            m = pair_subs[(i, j)]
-            mg, mincl, _ = m.as_group()
-            pair_list.append(mg)
-            # place at slot i, minus the same element at slot j
-            into_i = _coords_hom(mg, mincl, abstr[i])
-            into_j = _coords_hom(mg, mincl, abstr[j])
-            maps.append((inj[i] @ into_i) - (inj[j] @ into_j))
-    d1, pinj, pproj = direct_sum(pair_list)
-    total = GroupHom.zero(d1, d0)
-    for f, pr in zip(maps, pproj):
-        total = total + (f @ pr)
-    return total
+def _gap(a, b, only_a, only_b):
+    """None when subgroups a and b are equal, else the witness text.
+
+    Canonical generators make ``a == b`` settle equality at once; only
+    otherwise is a generator of one side outside the other looked for,
+    and ``only_a`` or ``only_b`` words it from its reduced coordinates.
+    """
+    if a == b:
+        return None
+    for x, y, say in ((a, b, only_a), (b, a, only_b)):
+        g = _missing_from(x, y)
+        if g is not None:
+            return say(tuple(x.ambient.reduce(g)))
+    return None
 
 
 def check_gamma_exact(inst, I, parts):
@@ -160,6 +171,8 @@ def check_gamma_exact(inst, I, parts):
     Uses the instance's STORED data at the pairwise lattice meets, so a
     planted lattice-law defect surfaces here as a kernel witness rather
     than being silently repaired by recomputing true intersections.
+    The complex is built once; when it is exact the result carries it
+    (a GammaComplex) for glue_comaximal to reuse.
     """
     parts = list(parts)
     if not inst.order.is_comaximal_family(I, parts):
@@ -167,42 +180,44 @@ def check_gamma_exact(inst, I, parts):
                                 % (parts, I))
     subs = [inst.torsion_sub(p) for p in parts]
     target = inst.torsion_sub(I)
-    g0 = gamma0(subs)
-    pair_subs = {}
+    g0, inj, proj = gamma0(subs)
+    mids = {}
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             mid = inst.order.meet(parts[i], parts[j])
             if mid is None:
                 return GammaResult(False, "no lattice meet of %s and %s"
                                    % (parts[i], parts[j]))
-            pair_subs[(i, j)] = inst.torsion_sub(mid)
+            mids[(i, j)] = mid
+    restrictions, pair_groups, maps = {}, [], []
     try:
-        g1 = _gamma1_with_pairs(subs, pair_subs)
+        for (i, j), mid in mids.items():
+            mg, mincl, _ = inst.torsion_sub(mid).as_group()
+            into_i = _coords_hom(mg, mincl, subs[i].as_group())
+            into_j = _coords_hom(mg, mincl, subs[j].as_group())
+            restrictions[(i, j)] = (mid, into_i, into_j)
+            pair_groups.append(mg)
+            # place at slot i, minus the same element at slot j
+            maps.append((inj[i] @ into_i) - (inj[j] @ into_j))
+        d1, _, pproj = direct_sum(pair_groups)
+        g1 = GroupHom.zero(d1, g0.domain)
+        for f, pr in zip(maps, pproj):
+            g1 = g1 + (f @ pr)
     except (NotSubgroupError, HomDefinitionError) as exc:
         return GammaResult(False, "meet data does not embed in the parts: %s"
                            % (exc,))
-    im0 = image(g0)
-    for g in target.generators:
-        if not im0.contains(g):
-            return GammaResult(False, "Gamma0 misses %r of K1(%s)[n]"
-                               % (tuple(target.ambient.reduce(g)), I))
-    for g in im0.generators:
-        if not target.contains(g):
-            return GammaResult(False, "Gamma0 image escapes K1(%s)[n] at %r"
-                               % (I, tuple(target.ambient.reduce(g))))
-    ker = g0.kernel()
-    im1 = image(g1)
-    for g in ker.generators:
-        if not im1.contains(g):
-            return GammaResult(
-                False, "%r lies in ker Gamma0 but not in im Gamma1"
-                % (tuple(ker.ambient.reduce(g)),))
-    for g in im1.generators:
-        if not ker.contains(g):
-            return GammaResult(
-                False, "%r lies in im Gamma1 but not in ker Gamma0"
-                % (tuple(im1.ambient.reduce(g)),))
-    return GammaResult(True, None)
+    gap = _gap(target, image(g0),
+               lambda v: "Gamma0 misses %r of K1(%s)[n]" % (v, I),
+               lambda v: "Gamma0 image escapes K1(%s)[n] at %r" % (I, v))
+    if gap is None:
+        gap = _gap(g0.kernel(), image(g1),
+                   lambda v: "%r lies in ker Gamma0 but not in im Gamma1"
+                   % (v,),
+                   lambda v: "%r lies in im Gamma1 but not in ker Gamma0"
+                   % (v,))
+    if gap is not None:
+        return GammaResult(False, gap)
+    return GammaResult(True, None, GammaComplex(g0, proj, restrictions))
 
 
 # --- splittings ------------------------------------------------------------
@@ -268,7 +283,9 @@ def glue_comaximal(inst, I, parts, sigmas):
     is solved and sigma_I(y) = sum sigma_i(y_i).  Coherence of the
     inputs on pairwise meets and exactness of the Gamma complex are
     verified first, which is exactly what makes the result independent
-    of the preimage choice.
+    of the preimage choice.  The complex is built and certified once,
+    by check_gamma_exact; its Gamma0, projections and pair restriction
+    maps are then reused here, not rebuilt.
     """
     parts = list(parts)
     for p in parts:
@@ -279,19 +296,13 @@ def glue_comaximal(inst, I, parts, sigmas):
     if not cert.ok:
         raise GluingError("Gamma complex is not exact under %r: %s"
                           % (I, cert.witness))
+    g0, proj, restrictions = cert.complex
     # Eq (4) among the parts at their pairwise lattice meets
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            mid = inst.order.meet(parts[i], parts[j])
-            ri = restriction_hom(inst, mid, parts[i])
-            rj = restriction_hom(inst, mid, parts[j])
-            if sigmas[parts[i]] @ ri != sigmas[parts[j]] @ rj:
-                raise GluingError(
-                    "sigmas at %r and %r disagree on their meet %r"
-                    % (parts[i], parts[j], mid))
-    subs = [inst.torsion_sub(p) for p in parts]
-    abstr, d0, inj, proj = _gamma_setup(subs)
-    g0 = gamma0(subs)
+    for (i, j), (mid, ri, rj) in restrictions.items():
+        if sigmas[parts[i]] @ ri != sigmas[parts[j]] @ rj:
+            raise GluingError(
+                "sigmas at %r and %r disagree on their meet %r"
+                % (parts[i], parts[j], mid))
     g_i, incl_i, _ = _tor_group(inst, I)
     images = []
     for gen in g_i.gens():
@@ -383,13 +394,12 @@ def verify_ideal_splitting(inst, fam):
         run("splitting-identity:%s" % i, splits)
     for i in ids:
         def contained(i=i):
-            im = image(fam.sigma(i))
-            if not im <= inst.node(i).Kn_sub:
-                for g in im.generators:
-                    if not inst.node(i).Kn_sub.contains(g):
-                        return False, ("sigma image reaches %r outside Kn(%s)"
-                                       % (tuple(im.ambient.reduce(g)), i))
-            return True, None
+            im, kn = image(fam.sigma(i)), inst.node(i).Kn_sub
+            if im <= kn:
+                return True, None
+            g = _missing_from(im, kn)
+            return False, ("sigma image reaches %r outside Kn(%s)"
+                           % (tuple(im.ambient.reduce(g)), i))
         run("containment:%s" % i, contained)
     for x in range(len(ids)):
         for y in range(len(ids)):

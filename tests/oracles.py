@@ -14,10 +14,13 @@ another way:
   the exponent;
 * ``full_scan_reduce`` searches every basis row's pivot from column 0,
   and ``scan_sub_eq`` decides subgroup equality by a membership scan of
-  every generator in both directions.
+  every generator in both directions;
+* ``gamma1_with_pairs`` builds Gamma1 standalone, from its own direct
+  sum of the parts, where ``splitter.check_gamma_exact`` builds it from
+  the one Gamma0 it certifies.
 """
 
-from idealsplit import fgab, intmat
+from idealsplit import fgab, intmat, splitter
 from idealsplit.errors import NotSubgroupError, SizeBoundError
 
 
@@ -160,3 +163,26 @@ def scan_sub_eq(a, b, label):
         if not a.contains(g):
             return False, "%s: element %r only on the right" % (label, tuple(g))
     return True, None
+
+
+def gamma1_with_pairs(parts, pair_subs):
+    """Gamma1 : (+)_{i<j} M_ij -> (+)_i G_i with injectable pair data:
+    ``pair_subs[(i, j)]`` is the subgroup standing in for G_i meet G_j."""
+    splitter._common_ambient(parts)
+    abstr = [p.as_group() for p in parts]
+    d0, inj, _ = fgab.direct_sum([g for g, _, _ in abstr])
+    pair_list = []
+    maps = []
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            mg, mincl, _ = pair_subs[(i, j)].as_group()
+            pair_list.append(mg)
+            # place at slot i, minus the same element at slot j
+            into_i = splitter._coords_hom(mg, mincl, abstr[i])
+            into_j = splitter._coords_hom(mg, mincl, abstr[j])
+            maps.append((inj[i] @ into_i) - (inj[j] @ into_j))
+    d1, _, pproj = fgab.direct_sum(pair_list)
+    total = fgab.GroupHom.zero(d1, d0)
+    for f, pr in zip(maps, pproj):
+        total = total + (f @ pr)
+    return total

@@ -204,6 +204,65 @@ def test_family_block_bad_keys():
         instance_from_json(doc)
 
 
+def test_library_errors_keep_their_schema_location():
+    # a library error raised while an object is built from a document
+    # becomes a SchemaError prefixed by the path of that object
+    def instance_doc(edit, family=False):
+        if family:
+            fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
+            inst = carrier_instance(FgGroup((4,)))
+            doc = instance_to_json(inst, family=fam)
+        else:
+            doc = instance_to_json(diamond24())
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return doc
+
+    def k1_factors(doc):
+        doc["groups"]["K1"]["invariant_factors"] = [4, 2]
+
+    def long_vector(doc):
+        doc["ideals"]["a"]["K0"] = [[1, 0, 0]]
+
+    def zero_n(doc):
+        doc["n"] = 0
+
+    def cycle(doc):
+        doc["lattice"]["edges"].append(["top", "bot"])
+
+    def zero_coefficient(doc):
+        block = doc["coherent_family"]
+        block["coefficients"] = [0, 2, 4]
+        block["coeff_groups"]["0"] = block["coeff_groups"]["2"]
+
+    def upward_lambda(doc):
+        doc["coherent_family"]["lambda"]["2,4"] = {
+            "rows": 1, "cols": 1, "entries": [[1]]}
+
+    cases = [
+        (k1_factors, False, "instance.groups.K1: broken divisibility chain: "
+         "4 does not divide 2"),
+        (long_vector, False, "instance.ideals.a.K0: instance.ideals.a.K0[0]: "
+         "vector length 3, ambient rank 2"),
+        (zero_n, False, "instance.n: modulus must be positive"),
+        (cycle, False,
+         "instance.lattice: order relation has a cycle through 'a'"),
+        (zero_coefficient, True, "instance.coherent_family.coeff_groups.0: "
+         "modulus must be positive"),
+        (upward_lambda, True, "instance.coherent_family: lambda key (2, 4) "
+         "is not an n | m pair"),
+    ]
+    for edit, family, message in cases:
+        with pytest.raises(SchemaError) as info:
+            instance_from_json(instance_doc(edit, family))
+        assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        hom_from_json({"rows": 1, "cols": 1, "entries": [[1]]},
+                      FgGroup((2,)), FgGroup((), 1), "maps.test")
+    assert str(info.value) == ("maps.test: entry (0,0) breaks relation: "
+                               "1 * order 2 != 0 mod 0 (free)")
+
+
 # --- splitting and iso documents ---------------------------------------------
 
 def test_splitting_round_trip():

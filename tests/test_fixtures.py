@@ -7,7 +7,7 @@ import pytest
 from idealsplit.errors import (DefectNotApplicableError,
                                InstanceValidationError, LatticeError)
 from idealsplit.fgab import FgGroup, GroupHom, Subgroup
-from idealsplit.fixtures import (DEFECT_KINDS, DpTruncation, GenBounds,
+from idealsplit.fixtures import (DEFECT_KINDS, GenBounds,
                                  coordinate_subgroup, direct_sum_instance,
                                  dp_truncation, plant_defect,
                                  random_automorphism, random_hom,
@@ -206,9 +206,8 @@ def test_dp_corridor_strictly_shrinks():
         assert secs[1] < secs[0]
 
 
-def test_dp_namedtuple_roundtrip():
-    a = DpTruncation(2, 1, 0).instance()
-    assert same_nodes(a, dp_truncation(2, 1, 0))
+def test_dp_truncation_is_deterministic():
+    assert same_nodes(dp_truncation(2, 1, 0), dp_truncation(2, 1, 0))
 
 
 def test_dp_rejects_bad_parameters():

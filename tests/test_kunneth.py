@@ -471,6 +471,40 @@ def test_perturbed_kappa_fails_with_named_relation():
     assert any("4,2" in n for n in names)
 
 
+def test_coherence_report_pins_names_and_witnesses():
+    fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
+    kappa = dict(fam.kappa)
+    for n in (2, 4):
+        kappa[(n, n)] = GroupHom.identity(fam.coeffs[n].Kn)
+    f = kappa[(4, 2)]
+    rows = [list(r) for r in f.matrix]
+    e0, d0 = f.codomain.orders[0], f.domain.orders[0]
+    rows[0][0] += e0 // gcd(e0, d0)
+    kappa[(4, 2)] = GroupHom(f.domain, f.codomain, rows)
+    report = check_coherence(
+        CoherentFamily(fam.data, fam.coeffs, kappa, fam.lam, fam.sigmas))
+    assert report.names() == [
+        "eq1:2,2", "eq2:2,2", "eq1:2,4", "eq2:2,4", "eq1:4,2", "eq2:4,2",
+        "eq1:4,4", "eq2:4,4"] + ["eq3:%s" % t for t in (
+            "2,2,2", "2,2,4", "2,4,2", "2,4,4", "4,2,2", "4,2,4", "4,4,2",
+            "4,4,4")]
+    assert [(r.name, r.witness) for r in report.failures()] == [
+        ("eq2:4,2", "kappa[4,2] . rho_2 != (2) rho_4"),
+        ("eq3:4,2,4", "kappa[4,2] . kappa[2,4] != (2) kappa[4,4]")]
+    # a kappa of the wrong shape, set past the constructor's checks: the
+    # composition that cannot be formed is reported, not raised
+    bent = CoherentFamily(fam.data, fam.coeffs, fam.kappa, fam.lam,
+                          fam.sigmas)
+    wrong = dict(fam.kappa)
+    wrong[(4, 2)] = GroupHom.identity(fam.coeffs[4].Kn)
+    object.__setattr__(bent, "kappa", wrong)
+    assert [(r.name, r.witness) for r in check_coherence(bent)] == [
+        ("eq1:2,4", None), ("eq2:2,4", None),
+        ("eq1:4,2", "beta_4 . kappa[4,2] != (1) beta_2"),
+        ("eq2:4,2",
+         "AmbientMismatchError: composition domains do not line up")]
+
+
 def test_family_coherence_natural_true_incompatible_false():
     fam, parts = natural_family(Z, FgGroup((4,)), [2, 4])
     assert check_family_coherence(fam) is True

@@ -21,19 +21,20 @@ from idealsplit.errors import (AmbientMismatchError, GluingError,
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image,
                              image_subgroup, kernel, n_torsion_group,
                              tensor_zmod)
+from idealsplit.fixtures import direct_sum_instance
 from idealsplit.kunneth import (CoeffGroup, IdealNode, KData,
                                 KunnethInstance, validate_instance)
 from idealsplit.lattice import IdealLattice
 from idealsplit.splitter import (ComplexIso, SplittingFamily,
-                                 _gamma1_with_pairs, build_ideal_splitting,
-                                 check_gamma_exact,
+                                 build_ideal_splitting, check_gamma_exact,
                                  exhaustive_ideal_splittings,
-                                 extend_splitting, full_section, gamma0,
+                                 extend_splitting, full_section,
                                  glue_comaximal, lift_isomorphism,
                                  restriction_hom, verify_ideal_splitting)
 
-from test_kunneth import (DIAMOND, Z, Z2, aligned, basis_sub,
-                          diamond_instance)
+from oracles import gamma1_with_pairs
+from test_kunneth import (DIAMOND, Z, Z2, aligned, aligned_node, basis_sub,
+                          diamond_instance, model_parts)
 
 E8 = FgGroup((2, 2, 2))
 
@@ -45,7 +46,13 @@ def gamma1(parts):
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             pair_subs[(i, j)] = parts[i].meet(parts[j])
-    return _gamma1_with_pairs(parts, pair_subs)
+    return gamma1_with_pairs(parts, pair_subs)
+
+
+def gamma0(parts):
+    """Gamma0 alone, without the direct sum's injections and
+    projections."""
+    return splitter.gamma0(parts)[0]
 
 
 def e(i, rank=3):
@@ -124,6 +131,62 @@ def test_check_gamma_exact_uses_stored_meet_data():
     # with the true intersections the complex is exact
     subs = [inst.torsion_sub("a"), inst.torsion_sub("b")]
     assert gamma0(subs).kernel() == image(gamma1(subs))
+
+
+def poset_instance(K0, K1, n, coords, edges):
+    """Coordinate ideals as in ``aligned``, under an explicit order that
+    need not match their containments or form a lattice."""
+    Kn, parts = model_parts(K0, K1, n)
+    nodes = [aligned_node(i, basis_sub(K0, c0), basis_sub(K1, c1), parts)
+             for i, (c0, c1) in sorted(coords.items())]
+    return KunnethInstance(KData(K0, K1),
+                           CoeffGroup(n, Kn, parts.i1, parts.p2), nodes,
+                           IdealLattice(sorted(coords), edges))
+
+
+DIAMOND_EDGES = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+
+
+def test_check_gamma_exact_pins_every_witness():
+    # one instance per failure branch, each witness byte for byte; the
+    # sixth branch (im Gamma1 outside ker Gamma0) cannot fire, because
+    # Gamma1 places the same meet element at two slots with opposite
+    # signs, so Gamma0 . Gamma1 = 0 by construction
+    K22 = FgGroup((2, 2))
+    cases = [
+        # a and b lie over both x and y: a greatest lower bound is missing
+        (poset_instance(Z2, K22, 2, {
+            "bot": ((), ()), "x": ((0,), ()), "y": ((1,), ()),
+            "a": ((0, 1), (0,)), "b": ((0, 1), (1,)),
+            "top": ((0, 1), (0, 1))},
+            [("bot", "x"), ("bot", "y"), ("x", "a"), ("x", "b"),
+             ("y", "a"), ("y", "b"), ("a", "top"), ("b", "top")]),
+         "no lattice meet of a and b"),
+        # the stored bottom carries K1 data outside K1(a)
+        (poset_instance(Z2, K22, 2, {
+            "bot": ((), (1,)), "a": ((0,), (0,)), "b": ((1,), (1,)),
+            "top": ((0, 1), (0, 1))}, DIAMOND_EDGES),
+         "meet data does not embed in the parts: element (0, 1) is "
+         "outside the destination subgroup"),
+        # the parts carry no torsion data, the top does
+        (aligned(Z2, K22, 2, {
+            "bot": ((), ()), "a": ((0,), ()), "b": ((1,), ()),
+            "top": ((0, 1), (0,))})[0],
+         "Gamma0 misses (1, 0) of K1(top)[n]"),
+        # the stored top is smaller than the join of the parts
+        (poset_instance(Z2, K22, 2, {
+            "bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (1,)),
+            "top": ((0, 1), (0,))}, DIAMOND_EDGES),
+         "Gamma0 image escapes K1(top)[n] at (0, 1)"),
+        # the stored bottom misses the overlap <f0> of K1(a) and K1(b)
+        (aligned(Z2, FgGroup((2, 4)), 2, {
+            "bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (0, 1)),
+            "top": ((0, 1), (0, 1))})[0],
+         "(1, 1, 0) lies in ker Gamma0 but not in im Gamma1"),
+    ]
+    for inst, witness in cases:
+        res = check_gamma_exact(inst, "top", ["a", "b"])
+        assert (res.ok, res.witness) == (False, witness)
 
 
 # --- fixtures beyond the diamond -------------------------------------------
@@ -277,6 +340,62 @@ def test_glue_missing_sigma():
                        {"a": natural_sigma(inst, parts, "a")})
 
 
+def test_gamma_result_carries_the_certified_complex():
+    inst, _ = stem_instance()
+    res = check_gamma_exact(inst, "top", ["a", "b"])
+    subs = [inst.torsion_sub("a"), inst.torsion_sub("b")]
+    g0, _, proj = splitter.gamma0(subs)
+    assert res.complex == (g0, proj, {
+        (0, 1): ("m", restriction_hom(inst, "m", "a"),
+                 restriction_hom(inst, "m", "b"))})
+    # a complex that is not exact is not handed on
+    coords = dict(STEM, m=((0,), ()))
+    bad, _ = aligned(FgGroup((), 2), FgGroup((2, 2)), 2, coords)
+    res = check_gamma_exact(bad, "top", ["a", "b"])
+    assert not res.ok and res.complex is None
+
+
+def boolean_instance(k):
+    """Every coordinate subset of range(k) as an ideal, in K0 = Z^k and
+    K1 = (Z/2)^k at once: the Boolean lattice 2^k."""
+    spec = {}
+    for mask in range(1, 2 ** k - 1):
+        idx = tuple(i for i in range(k) if mask >> i & 1)
+        spec["s%d" % mask] = (idx, idx)
+    return direct_sum_instance(FgGroup((), k), FgGroup((2,) * k), 2, spec)
+
+
+def test_glue_builds_its_gamma_complex_once(monkeypatch):
+    # counts, not timing: each glue builds the direct sum of its parts
+    # once (for Gamma0 inside check_gamma_exact) and reuses it, and an
+    # exact complex is settled by identity without a witness scan
+    glues = []
+    direct_sum, glue = splitter.direct_sum, splitter.glue_comaximal
+
+    def counted_direct_sum(groups):
+        glues[-1][1].append(list(groups))
+        return direct_sum(groups)
+
+    def counted_glue(inst, I, parts, sigmas):
+        groups = [inst.torsion_sub(p).as_group()[0] for p in parts]
+        glues.append((groups, []))
+        return glue(inst, I, parts, sigmas)
+
+    def no_scan(a, b):
+        raise AssertionError("an exact Gamma complex was scanned")
+
+    monkeypatch.setattr(splitter, "direct_sum", counted_direct_sum)
+    monkeypatch.setattr(splitter, "glue_comaximal", counted_glue)
+    monkeypatch.setattr(splitter, "_missing_from", no_scan)
+    insts = [diamond_instance()[0], stem_instance()[0], boolean_instance(3)]
+    for inst in insts:
+        build_ideal_splitting(inst, validate=False)
+    # one glue each in the diamond and the stem, four in 2^3
+    assert len(glues) == 6
+    for groups, calls in glues:
+        assert sum(c == groups for c in calls) == 1
+
+
 # --- the builder -----------------------------------------------------------
 
 def test_build_ideal_splitting_diamond():
@@ -317,6 +436,22 @@ def test_verify_flags_tampered_family():
     names = [r.name for r in report.failures()]
     assert names == ["splitting-identity:a", "coherence:a<top"]
     assert all(r.witness for r in report.failures())
+
+
+def test_verify_pins_the_containment_witness():
+    # still a section at a, but pushed into the tensor coordinate of b,
+    # outside Kn(a)
+    inst, parts = diamond_instance()
+    fam = build_ideal_splitting(inst)
+    g_a, _, _ = inst.torsion_sub("a").as_group()
+    broken = dict(fam.sigmas)
+    broken["a"] = fam.sigma("a") + parts.i1 @ GroupHom(g_a, parts.T,
+                                                       [[0], [1]])
+    report = verify_ideal_splitting(inst, SplittingFamily(broken))
+    assert [(r.name, r.witness) for r in report.failures()] == [
+        ("containment:a", "sigma image reaches (0, 1, 1, 0) outside Kn(a)"),
+        ("coherence:a<top",
+         "sigma at top restricted to K1(a)[n] differs from sigma at a")]
 
 
 def test_verify_flags_missing_sigma():
