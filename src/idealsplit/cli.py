@@ -3,9 +3,9 @@
 Subcommands: validate, split, lift, gen, gamma-check, coherence-check.
 Exit codes are disjoint and exhaustive: 0 success, 1 a semantic check
 failed (validation, obstruction, lift hypothesis, defect not
-applicable), 2 the input could not be loaded or the arguments are bad,
-3 the constructive builder and the exhaustive oracle disagreed, which
-is a bug trap and must never happen.
+applicable, any other library error), 2 the input could not be loaded
+or the arguments are bad, 3 the constructive builder and the exhaustive
+oracle disagreed, which is a bug trap and must never happen.
 
 All randomness flows from --seed; reports print as text by default and
 as canonical JSON with --format json; output documents go to stdout or
@@ -15,11 +15,8 @@ to the --output path, written atomically.
 import argparse
 import sys
 
-from .errors import (DefectNotApplicableError, GluingError,
-                     InstanceValidationError, LatticeError,
-                     LiftHypothesisError, MissingMapError, MissingSigmaError,
-                     NotASplittingError, NotComaximalError, SchemaError,
-                     SizeBoundError, SplittingObstructionError)
+from .errors import (IdealSplitError, SchemaError, SizeBoundError,
+                     SplittingObstructionError)
 from .fileformat import (dumps_canonical, instance_from_json,
                          instance_to_json, iso_input_from_json, iso_to_json,
                          load_file, save_file, splitting_to_json)
@@ -283,10 +280,7 @@ def main(argv=None):
     except (SchemaError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (InstanceValidationError, SplittingObstructionError,
-            LiftHypothesisError, DefectNotApplicableError, GluingError,
-            NotASplittingError, NotComaximalError, MissingMapError,
-            MissingSigmaError, LatticeError) as exc:
+    except IdealSplitError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_CHECK
 

@@ -6,7 +6,9 @@ first (reduced mod their factor), free coordinates last (any integer).
 Keeping every group in this one canonical shape makes group equality a
 tuple comparison and keeps homomorphisms plain integer matrices.
 
-All arithmetic is exact; the heavy lifting happens in ``intmat``.
+All arithmetic is exact and done in ``intmat``: subgroups are read off
+Hermite forms, abstract groups off Smith forms, and elements and homs
+(``hom_preimage``, ``solve_hom``) come from the congruence solver.
 """
 
 import itertools
@@ -226,9 +228,6 @@ class GroupHom:
         matrix = [[int(img[i]) for img in images] for i in range(codomain.rank)]
         return cls(domain, codomain, matrix)
 
-    def _rows(self):
-        return [list(r) for r in self.matrix]
-
     def __call__(self, vec):
         vec = self.domain.reduce(vec)
         return self.codomain.reduce(intmat.matvec(self.matrix, list(vec)))
@@ -238,7 +237,7 @@ class GroupHom:
             return NotImplemented
         if other.codomain != self.domain:
             raise AmbientMismatchError("composition domains do not line up")
-        prod = intmat.matmul(self._rows(), other._rows(),
+        prod = intmat.matmul(self.matrix, other.matrix,
                              bcols=other.domain.rank)
         if not prod:
             prod = intmat.zeros(self.codomain.rank, other.domain.rank)
@@ -335,9 +334,6 @@ class Subgroup:
     def full(cls, ambient):
         return cls(ambient, ambient.gens())
 
-    def _basis_rows(self):
-        return [list(r) for r in self.generators]
-
     def contains(self, vec):
         if len(vec) != self.ambient.rank:
             raise AmbientMismatchError("element size does not match ambient")
@@ -345,16 +341,13 @@ class Subgroup:
 
     __contains__ = contains
 
-    def contains_subgroup(self, other):
-        self._check_ambient(other)
-        return all(self.contains(row) for row in other.generators)
-
     def _check_ambient(self, other):
         if not isinstance(other, Subgroup) or other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups live in different ambients")
 
     def __le__(self, other):
-        return other.contains_subgroup(self)
+        self._check_ambient(other)
+        return all(other.contains(row) for row in self.generators)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup)
@@ -381,21 +374,13 @@ class Subgroup:
                         list(self.generators) + list(other.generators))
 
     def meet(self, other):
-        """Intersection by Zassenhaus's method, from one Hermite form.
-
-        The rows ``[b | b]`` (b in self) and ``[c | 0]`` (c in other)
-        span the vectors ``[b + c | b]``.  Left half zero means that
-        ``b = -c`` lies in both subgroups, and every common ``b`` arises
-        so.  In echelon form those vectors are spanned by the rows whose
-        left half is zero.
-        """
+        """Intersection by Zassenhaus's method: the pairs ``(b, b)``
+        (b in self) and rows c of other span the vectors ``[b + c | b]``,
+        whose left half is zero exactly when ``b = -c`` lies in both."""
         self._check_ambient(other)
         n = self.ambient.rank
-        rows = [list(b) + list(b) for b in self.generators]
-        rows += [list(c) + [0] * n for c in other.generators]
-        h = intmat.hnf_nonzero(rows, cols=2 * n)
-        return Subgroup(self.ambient,
-                        [row[n:] for row in h if not any(row[:n])])
+        return Subgroup(self.ambient, _zassenhaus(
+            [(b, b) for b in self.generators], other.generators, n, n))
 
     def as_group(self):
         """The subgroup as an abstract group with its inclusion.
@@ -410,7 +395,7 @@ class Subgroup:
         return self._group_cache[0]
 
     def _compute_group(self):
-        basis = self._basis_rows()
+        basis = self.generators
         k = len(basis)
         n = self.ambient.rank
         bt = intmat.transpose(basis, n) if k else intmat.zeros(n, 0)
@@ -462,41 +447,57 @@ class Subgroup:
 
 # --- kernels, images, quotients ----------------------------------------
 
+def _zassenhaus(pairs, extra, left, right):
+    """Right halves of the Hermite rows whose left half is zero.
+
+    The rows are ``[a | b]`` per pair ``(a, b)`` and ``[c | 0]`` per
+    extra row c.  In echelon form those with zero left half span every
+    lattice vector with zero left half (Cohen, GTM 138, 2.4).
+    """
+    rows = [list(a) + list(b) for a, b in pairs]
+    rows += [list(c) + [0] * right for c in extra]
+    h = intmat.hnf_nonzero(rows, cols=left + right)
+    return [row[left:] for row in h if not any(row[:left])]
+
+
 def kernel(f):
-    """Kernel of a hom as a canonical subgroup of its domain."""
-    res = intmat.solve_congruences(
-        f._rows(), [0] * f.codomain.rank, list(f.codomain.orders),
-        f.domain.rank, list(f.domain.orders))
-    return Subgroup(f.domain, res[1])
+    """Kernel of a hom: the preimage of the zero subgroup."""
+    return preimage_subgroup(f, Subgroup.zero(f.codomain))
 
 
 def image(f):
     """Image of a hom as a canonical subgroup of its codomain."""
-    cols = [[f.matrix[i][j] for i in range(f.codomain.rank)]
-            for j in range(f.domain.rank)]
-    return Subgroup(f.codomain, cols)
+    return Subgroup(f.codomain, intmat.transpose(f.matrix, f.domain.rank))
 
 
 def image_subgroup(f, sub):
-    """Image of a subgroup of the domain under a hom."""
+    """Image of a subgroup of the domain under a hom, as plain integer
+    products: ``Subgroup`` reduces them modulo the codomain relations."""
     if sub.ambient != f.domain:
         raise AmbientMismatchError("subgroup does not live in the hom domain")
-    return Subgroup(f.codomain, [f(row) for row in sub.generators])
+    return Subgroup(f.codomain,
+                    [intmat.matvec(f.matrix, g) for g in sub.generators])
 
 
 def preimage_subgroup(f, sub):
-    """Full preimage of a codomain subgroup."""
+    """Full preimage of a codomain subgroup, by Zassenhaus's method.
+
+    The pairs ``(f(e_j), e_j)`` and the rows c of sub span the vectors
+    ``[f(x) + c | x]``.  Sub's rows include the codomain relations, so
+    the left half is zero exactly when f(x) lies in sub.
+    """
     if sub.ambient != f.codomain:
         raise AmbientMismatchError("subgroup does not live in the hom codomain")
-    _, proj = quotient(f.codomain, sub)
-    return kernel(proj @ f)
+    pairs = zip(intmat.transpose(f.matrix, f.domain.rank), f.domain.gens())
+    return Subgroup(f.domain, _zassenhaus(
+        pairs, sub.generators, f.codomain.rank, f.domain.rank))
 
 
 def quotient(group, sub):
     """Quotient by a subgroup: ``(Q, projection)`` with kernel(projection) = sub."""
     if sub.ambient != group:
         raise AmbientMismatchError("subgroup of a different group")
-    q, proj, _ = _presentation(sub._basis_rows(), gens=group.rank)
+    q, proj, _ = _presentation(sub.generators, gens=group.rank)
     return q, GroupHom(group, q, proj)
 
 
@@ -684,7 +685,7 @@ def hom_preimage(f, target):
     """Canonical preimage of one element under a hom, or None."""
     target = f.codomain.reduce(target)
     res = intmat.solve_congruences(
-        f._rows(), list(target), list(f.codomain.orders),
+        f.matrix, list(target), list(f.codomain.orders),
         f.domain.rank, list(f.domain.orders))
     if res is None:
         return None

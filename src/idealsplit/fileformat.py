@@ -182,6 +182,7 @@ def instance_from_json(doc):
     with _schema(where + ".n"):
         T, _ = tensor_zmod(K0, n)
         T1, _ = n_torsion_group(K1, n)
+        CoeffGroup.coefficient(n)
     _check_keys(doc["maps"], where + ".maps", ("rho_tilde", "beta_tilde"))
     rho = hom_from_json(doc["maps"]["rho_tilde"], T, Kn,
                         where + ".maps.rho_tilde")
@@ -284,6 +285,7 @@ def family_from_json(obj, data, where="coherent_family"):
         with _schema(w):
             T, _ = tensor_zmod(data.K0, n)
             T1, _ = n_torsion_group(data.K1, n)
+            CoeffGroup.coefficient(n)
         models[n] = (T, T1, Kn)
         rho = hom_from_json(rec["rho_tilde"], T, Kn, w + ".rho_tilde")
         beta = hom_from_json(rec["beta_tilde"], Kn, T1, w + ".beta_tilde")

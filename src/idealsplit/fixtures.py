@@ -314,9 +314,9 @@ def _random_spec(rng, K0, K1, max_ideals):
     if total >= 3 and max_ideals >= 5:
         shapes.append("stem")
     shape = rng.choice(shapes)
+    pool = [("0", i) for i in idx0] + [("1", i) for i in idx1]
+    rng.shuffle(pool)
     if shape == "chain":
-        pool = [("0", i) for i in idx0] + [("1", i) for i in idx1]
-        rng.shuffle(pool)
         steps = rng.randint(0, min(2, max_ideals - 2, len(pool)))
         spec = {}
         taken0, taken1 = set(), set()
@@ -328,13 +328,9 @@ def _random_spec(rng, K0, K1, max_ideals):
             spec["m%d" % s] = (tuple(sorted(taken0)), tuple(sorted(taken1)))
         return spec
     if shape == "diamond":
-        pool = [("0", i) for i in idx0] + [("1", i) for i in idx1]
-        rng.shuffle(pool)
         cut = rng.randint(1, len(pool) - 1)
         half_a, half_b = pool[:cut], pool[cut:]
     else:
-        pool = [("0", i) for i in idx0] + [("1", i) for i in idx1]
-        rng.shuffle(pool)
         m_cut = rng.randint(1, len(pool) - 2)
         rest = pool[m_cut:]
         cut = rng.randint(1, len(rest) - 1)

@@ -1,9 +1,10 @@
 """Exact integer matrices: Smith and Hermite forms, one congruence solver.
 
-Matrices are plain lists of lists of Python ints, row major, so every
-computation is exact at any size.  A matrix with zero rows carries no
-column count of its own, so most functions accept an explicit ``cols``
-argument for that case.
+Subgroups are read off Hermite forms, abstract groups off Smith forms,
+and only elements and homs are solved for.  Matrices are plain lists of
+lists of Python ints, row major, so every computation is exact at any
+size.  A zero-row matrix carries no column count of its own, so most
+functions accept an explicit ``cols`` argument for that case.
 
 Conventions used throughout the package:
 
@@ -13,10 +14,9 @@ Conventions used throughout the package:
   entries above a pivot reduced into ``[0, pivot)``, zero rows at the
   bottom.  Two row sets span the same lattice iff their canonical forms
   agree.
-* ``solve_congruences`` is the one linear solver.  It returns a
-  canonical solution of a mixed system of congruences and equations: the
-  lexicographically least admissible tuple whenever every variable
-  carries a finite modulus.
+* ``solve_congruences`` returns a canonical solution of a mixed system
+  of congruences and equations: the lexicographically least admissible
+  tuple whenever every variable carries a finite modulus.
 """
 
 

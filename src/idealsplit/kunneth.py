@@ -63,10 +63,15 @@ class CoeffGroup:
 
     __slots__ = ("n", "Kn", "rho_tilde", "beta_tilde")
 
-    def __init__(self, n, Kn, rho_tilde, beta_tilde):
-        n = int(n)
-        if n < 2:
+    @staticmethod
+    def coefficient(n):
+        """``n`` as an int; ValueError unless it is at least 2."""
+        if int(n) < 2:
             raise ValueError("coefficient must be an integer >= 2")
+        return int(n)
+
+    def __init__(self, n, Kn, rho_tilde, beta_tilde):
+        n = CoeffGroup.coefficient(n)
         if not isinstance(Kn, FgGroup):
             raise TypeError("Kn must be an FgGroup")
         if not isinstance(rho_tilde, GroupHom) \

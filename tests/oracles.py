@@ -17,7 +17,13 @@ another way:
   every generator in both directions;
 * ``gamma1_with_pairs`` builds Gamma1 standalone, from its own direct
   sum of the parts, where ``splitter.check_gamma_exact`` builds it from
-  the one Gamma0 it certifies.
+  the one Gamma0 it certifies;
+* ``solver_kernel`` takes a kernel as the homogeneous solution lattice
+  of ``intmat.solve_congruences``, ``quotient_preimage`` a preimage as
+  that kernel after the projection onto the quotient by the subgroup,
+  and ``pointwise_image`` an image by applying the hom to one reduced
+  generator at a time, where ``fgab`` reads all three off Hermite
+  forms.
 """
 
 from idealsplit import fgab, intmat, splitter
@@ -186,3 +192,23 @@ def gamma1_with_pairs(parts, pair_subs):
     for f, pr in zip(maps, pproj):
         total = total + (f @ pr)
     return total
+
+
+def solver_kernel(f):
+    """``fgab.kernel`` as the congruence solver's homogeneous lattice."""
+    res = intmat.solve_congruences(
+        f.matrix, [0] * f.codomain.rank, list(f.codomain.orders),
+        f.domain.rank, list(f.domain.orders))
+    return fgab.Subgroup(f.domain, res[1])
+
+
+def quotient_preimage(f, sub):
+    """``fgab.preimage_subgroup`` as the kernel of f followed by the
+    Smith-form projection onto the codomain modulo ``sub``."""
+    _, proj = fgab.quotient(f.codomain, sub)
+    return solver_kernel(proj @ f)
+
+
+def pointwise_image(f, sub):
+    """``fgab.image_subgroup`` applying the hom one generator at a time."""
+    return fgab.Subgroup(f.codomain, [f(row) for row in sub.generators])

@@ -120,6 +120,21 @@ def test_split_force_names_blocking_ideal(tmp_path, capsys):
     assert "no ideal splitting" in err and "'I1'" in err
 
 
+def test_split_force_library_error_exits_1(tmp_path, capsys):
+    # K1(b) = <(0, 1)> no longer contains K1(a) = <(1, 0)>, so building
+    # the splitting at b restricts to a subgroup that is not one; the
+    # library error must end in exit 1, not a traceback
+    inst = direct_sum_instance(Z, FgGroup((2, 4)), 2,
+                               {"a": ((), (0,)), "b": ((0,), (0, 1))})
+    doc = instance_to_json(inst)
+    doc["ideals"]["b"]["K1"] = [[0, 1]]
+    path = tmp_path / "broken.json"
+    save_file(str(path), doc)
+    assert main(["split", str(path), "--force"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_split_with_oracle_agreement(tmp_path, capsys):
     path = write_instance(tmp_path, diamond24())
     assert main(["split", path, "--oracle"]) == 0

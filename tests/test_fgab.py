@@ -9,6 +9,7 @@ against the code that produced them.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,8 +19,11 @@ from idealsplit.errors import (
     HomDefinitionError,
     SizeBoundError,
 )
+from idealsplit.fixtures import dp_truncation, random_instance
+from idealsplit.kunneth import validate_instance
 from oracles import (column_coordinates_group, is_pure_bruteforce,
-                     kernel_meet, retraction_pure)
+                     kernel_meet, pointwise_image, quotient_preimage,
+                     retraction_pure, solver_kernel)
 
 Z = fgab.FgGroup((), 1)
 
@@ -240,6 +244,61 @@ def test_quotient_exactness_invariant():
         assert induced.is_injective()
         assert fgab.image(induced) == fgab.image(f)
         assert fgab.kernel(proj) == ker
+
+
+def test_kernel_preimage_image_match_oracles():
+    rng = random.Random(0xF6AC7)
+    seen = set()
+    for trial in range(240):
+        a = random_group(rng, max_factors=2, max_free=2)
+        b = random_group(rng, max_factors=2, max_free=2)
+        if trial % 6 == 0:
+            f = fgab.GroupHom.zero(a, b)
+        else:
+            f = random_hom(rng, a, b)
+        seen.update(name for name, hit in (
+            ("rank-0 domain", a.is_trivial()),
+            ("rank-0 codomain", b.is_trivial()),
+            ("free codomain", b.free_rank and b.is_torsion_free()),
+            ("zero map", f == fgab.GroupHom.zero(a, b))) if hit)
+        assert fgab.kernel(f).generators == solver_kernel(f).generators
+        sub = random_subgroup(rng, b)
+        assert (fgab.preimage_subgroup(f, sub).generators
+                == quotient_preimage(f, sub).generators)
+        sub = random_subgroup(rng, a)
+        assert (fgab.image_subgroup(f, sub).generators
+                == pointwise_image(f, sub).generators)
+    assert len(seen) == 4, seen
+
+
+def test_subgroup_kernels_and_preimages_use_hermite_forms_only(monkeypatch):
+    # validation takes kernels and preimages of many homs; none of them
+    # may reach the congruence solver or a Smith form, while their
+    # Hermite forms show the watch is live
+    insts = [dp_truncation(2, 8, 7)] + [random_instance(s) for s in range(4)]
+    inside = {fgab.kernel.__code__, fgab.preimage_subgroup.__code__}
+    hits = []
+
+    def watch(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in inside:
+                    hits.append(name)
+                    break
+                frame = frame.f_back
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((intmat, "solve_congruences"),
+                         (intmat, "smith_form"), (fgab, "quotient"),
+                         (intmat, "hnf_nonzero")):
+        watch(module, name)
+    for inst in insts:
+        assert validate_instance(inst).ok
+    assert hits and set(hits) == {"hnf_nonzero"}
 
 
 # --- subgroup lattice ----------------------------------------------------

@@ -227,6 +227,9 @@ def test_library_errors_keep_their_schema_location():
     def zero_n(doc):
         doc["n"] = 0
 
+    def one_n(doc):
+        doc["n"] = 1
+
     def cycle(doc):
         doc["lattice"]["edges"].append(["top", "bot"])
 
@@ -234,6 +237,11 @@ def test_library_errors_keep_their_schema_location():
         block = doc["coherent_family"]
         block["coefficients"] = [0, 2, 4]
         block["coeff_groups"]["0"] = block["coeff_groups"]["2"]
+
+    def one_coefficient(doc):
+        block = doc["coherent_family"]
+        block["coefficients"] = [1, 2, 4]
+        block["coeff_groups"]["1"] = block["coeff_groups"]["2"]
 
     def upward_lambda(doc):
         doc["coherent_family"]["lambda"]["2,4"] = {
@@ -245,10 +253,13 @@ def test_library_errors_keep_their_schema_location():
         (long_vector, False, "instance.ideals.a.K0: instance.ideals.a.K0[0]: "
          "vector length 3, ambient rank 2"),
         (zero_n, False, "instance.n: modulus must be positive"),
+        (one_n, False, "instance.n: coefficient must be an integer >= 2"),
         (cycle, False,
          "instance.lattice: order relation has a cycle through 'a'"),
         (zero_coefficient, True, "instance.coherent_family.coeff_groups.0: "
          "modulus must be positive"),
+        (one_coefficient, True, "instance.coherent_family.coeff_groups.1: "
+         "coefficient must be an integer >= 2"),
         (upward_lambda, True, "instance.coherent_family: lambda key (2, 4) "
          "is not an n | m pair"),
     ]
