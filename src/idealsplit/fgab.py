@@ -159,17 +159,6 @@ def _presentation(rel, gens=None):
     return group, proj, lift
 
 
-def group_from_presentation(rel, gens=None):
-    """Cokernel of a relation matrix in canonical invariant-factor form.
-
-    Each row of ``rel`` is one relation over the generators (one column
-    per generator).  Factors equal to 1 are dropped; generators free of
-    relations contribute free rank.  ``gens`` is required only when the
-    relation matrix is empty.
-    """
-    return _presentation(rel, gens)[0]
-
-
 class GroupHom:
     """Homomorphism between FgGroups, stored as an integer matrix.
 

@@ -33,9 +33,14 @@ def _schema(where):
         raise SchemaError("%s: %s" % (where, exc))
 
 
-def _check_keys(obj, where, required, optional=()):
-    if not isinstance(obj, dict):
+def _object(x, where):
+    if not isinstance(x, dict):
         raise SchemaError("%s: expected an object" % where)
+    return x
+
+
+def _check_keys(obj, where, required, optional=()):
+    _object(obj, where)
     for k in required:
         if k not in obj:
             raise SchemaError("%s: missing key %r" % (where, k))
@@ -292,19 +297,20 @@ def family_from_json(obj, data, where="coherent_family"):
         with _schema(w):
             coeffs[n] = CoeffGroup(n, Kn, rho, beta)
     kappa = {}
-    for key, rec in obj["kappa"].items():
+    for key, rec in _object(obj["kappa"], where + ".kappa").items():
         m, n = _pair_key(key, ns, where + ".kappa")
         kappa[(m, n)] = hom_from_json(rec, models[n][2], models[m][2],
                                       "%s.kappa.%s" % (where, key))
     lam = {}
-    for key, rec in obj.get("lambda", {}).items():
+    for key, rec in _object(obj.get("lambda", {}),
+                            where + ".lambda").items():
         m, n = _pair_key(key, ns, where + ".lambda")
         lam[(m, n)] = hom_from_json(rec, models[n][1], models[m][1],
                                     "%s.lambda.%s" % (where, key))
     sigmas = None
     if "sigmas" in obj:
         sigmas = {}
-        for key, rec in obj["sigmas"].items():
+        for key, rec in _object(obj["sigmas"], where + ".sigmas").items():
             n = _coeff_key(key, ns, where + ".sigmas")
             sigmas[n] = hom_from_json(rec, models[n][1], models[n][2],
                                       "%s.sigmas.%s" % (where, key))

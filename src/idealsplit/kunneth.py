@@ -30,7 +30,6 @@ from .errors import (AmbientMismatchError, HomDefinitionError, LatticeError,
 from .fgab import (FgGroup, GroupHom, Subgroup, image, image_subgroup, kernel,
                    n_torsion_group, preimage_subgroup, tensor_zmod)
 from .lattice import IdealLattice
-from .sequences import Complex
 
 
 class KData:
@@ -509,7 +508,7 @@ def validate_instance(inst):
     return ValidationReport(results)
 
 
-# --- reductions and the five-term complex ---------------------------------
+# --- reductions -----------------------------------------------------------
 
 def _scaled(f, s):
     return GroupHom(f.domain, f.codomain,
@@ -526,17 +525,6 @@ def full_beta(data, coeff):
     """beta_n : Kn -> K1, the torsion inclusion after beta_tilde."""
     _, incl = n_torsion_group(data.K1, coeff.n)
     return incl @ coeff.beta_tilde
-
-
-def five_term_complex(inst):
-    """K0 --xn--> K0 --rho_n--> Kn --beta_n--> K1 --xn--> K1."""
-    data, coeff = inst.data, inst.coeff
-    times_n0 = _scaled(GroupHom.identity(data.K0), coeff.n)
-    times_n1 = _scaled(GroupHom.identity(data.K1), coeff.n)
-    return Complex([data.K0, data.K0, coeff.Kn, data.K1, data.K1],
-                   [times_n0, reduction_hom(data, coeff),
-                    full_beta(data, coeff), times_n1],
-                   require_complex=True)
 
 
 # --- multi-coefficient families -------------------------------------------

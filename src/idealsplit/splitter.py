@@ -13,7 +13,8 @@ than assumed.  Each glue builds its Gamma complex once:
 check_gamma_exact constructs and certifies it, and glue_comaximal
 reuses its Gamma0, projections and pair restriction maps.
 exhaustive_ideal_splittings is the independent brute-force
-cross-check of the builder.
+cross-check of the builder: it filters the sections that
+enumerate_splittings finds for the top row by exhaustion.
 
 Everything here is deterministic: solver solutions are canonical
 (lexicographically least), the glued section does not depend on which
@@ -21,19 +22,20 @@ Gamma0-preimages are taken, and families built from equal inputs
 serialize identically.
 """
 
+import itertools
 from typing import NamedTuple, Optional
 
 from .errors import (AmbientMismatchError, GluingError,
                      HomDefinitionError, InstanceValidationError,
                      LiftHypothesisError, MissingSigmaError,
-                     NotASplittingError, NotComaximalError,
-                     NotSubgroupError, SplittingObstructionError)
+                     NotASplittingError, NotComaximalError, NotExactError,
+                     NotSubgroupError, SizeBoundError,
+                     SplittingObstructionError)
 from .fgab import (GroupHom, direct_sum, hom_preimage, image,
                    image_subgroup, induced_tensor_hom, induced_torsion_hom,
                    solve_hom)
 from .kunneth import (ValidationReport, _missing_from, check_runner,
                       validate_instance)
-from .sequences import ShortExact, enumerate_splittings
 
 
 class SplittingFamily:
@@ -222,20 +224,15 @@ def check_gamma_exact(inst, I, parts):
 
 # --- splittings ------------------------------------------------------------
 
-def _tor_group(inst, id):
-    """(abstract K1(id)[n], inclusion into K1[n], retraction)."""
-    return inst.torsion_sub(id).as_group()
-
-
 def restriction_hom(inst, lo, hi):
     """Coordinates of K1(lo)[n] inside K1(hi)[n] (lo <= hi)."""
-    g_lo, incl_lo, _ = _tor_group(inst, lo)
-    return _coords_hom(g_lo, incl_lo, _tor_group(inst, hi))
+    g_lo, incl_lo, _ = inst.torsion_sub(lo).as_group()
+    return _coords_hom(g_lo, incl_lo, inst.torsion_sub(hi).as_group())
 
 
 def _check_is_splitting(inst, id, sig):
     """NotASplittingError unless sig is a section for ideal id's row."""
-    g, incl, _ = _tor_group(inst, id)
+    g, incl, _ = inst.torsion_sub(id).as_group()
     if sig.domain != g or sig.codomain != inst.coeff.Kn:
         raise NotASplittingError(
             "sigma for %r has the wrong domain or codomain" % (id,))
@@ -249,8 +246,8 @@ def _check_is_splitting(inst, id, sig):
 
 def _extend_solver(inst, lo, hi, tau):
     """Canonical extension of tau (a section at lo) to hi, or None."""
-    g_lo, incl_lo, _ = _tor_group(inst, lo)
-    g_hi, incl_hi, _ = _tor_group(inst, hi)
+    g_lo, incl_lo, _ = inst.torsion_sub(lo).as_group()
+    g_hi, incl_hi, _ = inst.torsion_sub(hi).as_group()
     h_hi, incl_h, proj_h = inst.node(hi).Kn_sub.as_group()
     iota = restriction_hom(inst, lo, hi)
     points = []
@@ -267,13 +264,6 @@ def _extend_solver(inst, lo, hi, tau):
     if x is None:
         return None
     return incl_h @ x
-
-
-def extend_splitting(inst, I, tau):
-    """Extend a section at ideal I to the top row; None if impossible."""
-    top = inst.order.top()
-    _check_is_splitting(inst, I, tau)
-    return _extend_solver(inst, I, top, tau)
 
 
 def glue_comaximal(inst, I, parts, sigmas):
@@ -303,7 +293,7 @@ def glue_comaximal(inst, I, parts, sigmas):
             raise GluingError(
                 "sigmas at %r and %r disagree on their meet %r"
                 % (parts[i], parts[j], mid))
-    g_i, incl_i, _ = _tor_group(inst, I)
+    g_i, incl_i, _ = inst.torsion_sub(I).as_group()
     images = []
     for gen in g_i.gens():
         w = hom_preimage(g0, incl_i(gen))
@@ -351,7 +341,7 @@ def build_ideal_splitting(inst, validate=True):
             break
         maxsubs = inst.order.maximal_subideals(current)
         if not maxsubs:
-            g, _, _ = _tor_group(inst, current)
+            g, _, _ = inst.torsion_sub(current).as_group()
             sigmas[current] = GroupHom.zero(g, inst.coeff.Kn)
         elif len(maxsubs) == 1:
             lo = maxsubs[0]
@@ -376,7 +366,7 @@ def verify_ideal_splitting(inst, fam):
     for i in ids:
         def domain_ok(i=i):
             sig = fam.sigma(i)
-            g, _, _ = _tor_group(inst, i)
+            g, _, _ = inst.torsion_sub(i).as_group()
             if sig.domain != g:
                 return False, "domain is not K1(%s)[n]" % (i,)
             if sig.codomain != inst.coeff.Kn:
@@ -386,7 +376,7 @@ def verify_ideal_splitting(inst, fam):
     for i in ids:
         def splits(i=i):
             sig = fam.sigma(i)
-            _, incl, _ = _tor_group(inst, i)
+            _, incl, _ = inst.torsion_sub(i).as_group()
             if inst.coeff.beta_tilde @ sig != incl:
                 return False, ("beta_tilde . sigma != id on K1(%s)[n]"
                                % (i,))
@@ -421,7 +411,7 @@ def verify_ideal_splitting(inst, fam):
 def full_section(inst, fam):
     """The top section as a map on all of K1[n]."""
     top = inst.order.top()
-    _, _, project = _tor_group(inst, top)
+    _, _, project = inst.torsion_sub(top).as_group()
     t1 = inst.coeff.beta_tilde.codomain
     sig = fam.sigma(top)
     images = []
@@ -433,6 +423,41 @@ def full_section(inst, fam):
     return GroupHom.from_images(t1, inst.coeff.Kn, images)
 
 
+# --- brute-force enumeration -----------------------------------------------
+
+def enumerate_splittings(left, right, bound=256):
+    """Every splitting of the short exact sequence 0 -> A -> B -> C -> 0.
+
+    ``left`` maps A to B and ``right`` maps B to C.  Raises
+    NotExactError unless the sequence is exact at A, B and C (in that
+    order), then returns all homs sigma: C -> B with right . sigma = id,
+    sorted by matrix for a deterministic order.  It is exponential by
+    design and refuses groups beyond the bound.
+    """
+    if left.codomain != right.domain:
+        raise AmbientMismatchError("left and right maps do not meet")
+    if not left.is_injective():
+        raise NotExactError("sequence fails at the left term (injectivity)")
+    if right.kernel() != left.image():
+        raise NotExactError("sequence fails at the middle term")
+    if not right.is_surjective():
+        raise NotExactError(
+            "sequence fails at the right term (surjectivity)")
+    b, c = right.domain, right.codomain
+    if b.size() is None or c.size() is None:
+        raise SizeBoundError("splitting enumeration needs finite groups")
+    if c.size() > bound:
+        raise SizeBoundError("|C| = %d exceeds the bound %d"
+                             % (c.size(), bound))
+    candidates = [[x for x in b.elements()
+                   if right(x) == gen and b.scale(order, x) == b.zero()]
+                  for gen, order in zip(c.gens(), c.orders)]
+    found = [GroupHom.from_images(c, b, [list(x) for x in combo])
+             for combo in itertools.product(*candidates)]
+    found.sort(key=lambda h: h.matrix)
+    return found
+
+
 def exhaustive_ideal_splittings(inst, bound=256):
     """All ideal-respecting sections of the top row, by brute force.
 
@@ -440,9 +465,9 @@ def exhaustive_ideal_splittings(inst, bound=256):
     exists (any family's top section is such a map, and any such map
     restricts to a family).  Sorted by matrix, so deterministic.
     """
-    seq = ShortExact.from_maps(inst.coeff.rho_tilde, inst.coeff.beta_tilde)
     keep = []
-    for sec in enumerate_splittings(seq, bound=bound):
+    for sec in enumerate_splittings(inst.coeff.rho_tilde,
+                                    inst.coeff.beta_tilde, bound=bound):
         if all(image_subgroup(sec, inst.torsion_sub(i))
                <= inst.node(i).Kn_sub for i in inst.order.nodes):
             keep.append(sec)

@@ -23,10 +23,13 @@ another way:
   that kernel after the projection onto the quotient by the subgroup,
   and ``pointwise_image`` an image by applying the hom to one reduced
   generator at a time, where ``fgab`` reads all three off Hermite
-  forms.
+  forms;
+* ``five_term_exact`` decides the paper's five-term sequence
+  K0 -xn-> K0 -> Kn -> K1 -xn-> K1, where ``validate_instance`` checks
+  the short row 0 -> K0/nK0 -> Kn -> K1[n] -> 0 term by term.
 """
 
-from idealsplit import fgab, intmat, splitter
+from idealsplit import fgab, intmat, kunneth, splitter
 from idealsplit.errors import NotSubgroupError, SizeBoundError
 
 
@@ -212,3 +215,16 @@ def quotient_preimage(f, sub):
 def pointwise_image(f, sub):
     """``fgab.image_subgroup`` applying the hom one generator at a time."""
     return fgab.Subgroup(f.codomain, [f(row) for row in sub.generators])
+
+
+def five_term_exact(inst):
+    """Whether K0 --xn--> K0 --rho_n--> Kn --beta_n--> K1 --xn--> K1 is
+    exact at K0, Kn and K1: kernel out equals image in at each, read
+    off the composites rather than the row maps."""
+    data, coeff = inst.data, inst.coeff
+    maps = [kunneth._scaled(fgab.GroupHom.identity(data.K0), coeff.n),
+            kunneth.reduction_hom(data, coeff),
+            kunneth.full_beta(data, coeff),
+            kunneth._scaled(fgab.GroupHom.identity(data.K1), coeff.n)]
+    return all(fgab.kernel(out) == fgab.image(into)
+               for into, out in zip(maps, maps[1:]))

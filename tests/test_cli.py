@@ -66,6 +66,21 @@ def test_validate_bad_matrix_shape(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_mistyped_family_block_exits_2(tmp_path, capsys):
+    # a coherent family whose kappa is a list, not an object, is a file
+    # error located at the block, not a traceback
+    fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
+    inst = direct_sum_instance(Z, FgGroup((4,)), 2, {})
+    doc = instance_to_json(inst, family=fam)
+    doc["coherent_family"]["kappa"] = []
+    path = tmp_path / "mistyped.json"
+    save_file(str(path), doc)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: instance.coherent_family.kappa: "
+                   "expected an object"]
+
+
 def test_validate_includes_family_checks(tmp_path, capsys):
     fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
     inst = direct_sum_instance(Z, FgGroup((4,)), 2, {})

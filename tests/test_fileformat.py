@@ -247,6 +247,11 @@ def test_library_errors_keep_their_schema_location():
         doc["coherent_family"]["lambda"]["2,4"] = {
             "rows": 1, "cols": 1, "entries": [[1]]}
 
+    def listed(block):
+        def edit(doc):
+            doc["coherent_family"][block] = []
+        return edit
+
     cases = [
         (k1_factors, False, "instance.groups.K1: broken divisibility chain: "
          "4 does not divide 2"),
@@ -262,6 +267,12 @@ def test_library_errors_keep_their_schema_location():
          "coefficient must be an integer >= 2"),
         (upward_lambda, True, "instance.coherent_family: lambda key (2, 4) "
          "is not an n | m pair"),
+        (listed("kappa"), True,
+         "instance.coherent_family.kappa: expected an object"),
+        (listed("lambda"), True,
+         "instance.coherent_family.lambda: expected an object"),
+        (listed("sigmas"), True,
+         "instance.coherent_family.sigmas: expected an object"),
     ]
     for edit, family, message in cases:
         with pytest.raises(SchemaError) as info:

@@ -197,6 +197,34 @@ def test_hnf_matches_sympy():
         assert intmat.hnf_nonzero(theirs, cols) == intmat.hnf_nonzero(mat)
 
 
+def test_smith_form_matches_sympy():
+    # sympy at test time only: its Smith form over ZZ must carry our
+    # diagonal, on generic, rank-deficient and uniformly scaled matrices
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(0x5EED8)
+    seen_zero = seen_factor = False
+    for k in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if k % 3 == 0:
+            mat = random_matrix(rng, rows, cols)
+        elif k % 3 == 1:
+            inner = rng.randint(0, min(rows, cols) - 1)
+            mat = intmat.matmul(random_matrix(rng, rows, inner, -3, 3),
+                                random_matrix(rng, inner, cols, -3, 3),
+                                bcols=cols)
+        else:
+            scale = rng.choice([2, 3, 4, 6, 12])
+            mat = [[scale * x for x in row]
+                   for row in random_matrix(rng, rows, cols, -4, 4)]
+        theirs = smith_normal_form(Matrix(mat), domain=ZZ)
+        diagonal = intmat.smith_diagonal(intmat.smith_form(mat, cols)[0])
+        assert diagonal == [theirs[i, i] for i in range(min(rows, cols))]
+        seen_zero |= 0 in diagonal
+        seen_factor |= any(d > 1 for d in diagonal)
+    assert seen_zero and seen_factor
+
+
 def test_hnf_is_lattice_invariant():
     rng = random.Random(0x5EED2)
     for _ in range(60):

@@ -16,8 +16,9 @@ from math import gcd
 
 import pytest
 
-from idealsplit import intmat, kunneth
-from idealsplit.errors import (AmbientMismatchError, HomDefinitionError,
+from idealsplit import fixtures, intmat, kunneth
+from idealsplit.errors import (AmbientMismatchError,
+                               DefectNotApplicableError, HomDefinitionError,
                                LatticeError, MissingMapError,
                                MissingSigmaError)
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
@@ -26,12 +27,11 @@ from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
 from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
                                 KunnethInstance, check_coherence,
-                                check_family_coherence, five_term_complex,
-                                reduction_hom, validate_instance)
+                                check_family_coherence, reduction_hom,
+                                validate_instance)
 from idealsplit.lattice import IdealLattice
-from idealsplit.sequences import is_exact
 
-from oracles import scan_sub_eq
+from oracles import five_term_exact, scan_sub_eq
 from test_fgab import random_group, random_subgroup
 from test_lattice import n5
 
@@ -328,11 +328,65 @@ def test_report_helpers():
 
 def test_five_term_complex_is_exact_for_valid_instance():
     inst, _ = diamond_instance()
-    ftc = five_term_complex(inst)
-    assert [g for g in ftc.groups] == [Z2, Z2, inst.coeff.Kn,
-                                       FgGroup((2, 4)), FgGroup((2, 4))]
-    for pos in (1, 2, 3):
-        assert is_exact(ftc, pos)
+    assert (inst.data.K0, inst.data.K1) == (Z2, FgGroup((2, 4)))
+    assert five_term_exact(inst)
+
+
+def with_row(inst, rho=None, beta=None, kn_sub=None):
+    """inst with rho_tilde or beta_tilde swapped.  A row through another
+    coefficient group (rho's codomain) takes Kn(I) = kn_sub(I).  The
+    constructors check structure only, so the row may be anything of
+    the right shape."""
+    c = inst.coeff
+    rho, beta = rho or c.rho_tilde, beta or c.beta_tilde
+    nodes = [IdealNode(i, node.K0_sub, node.K1_sub,
+                       kn_sub(i) if kn_sub else node.Kn_sub)
+             for i, node in inst.ideals.items()]
+    return KunnethInstance(inst.data, CoeffGroup(c.n, rho.codomain, rho, beta),
+                           nodes, inst.order)
+
+
+def test_five_term_sequence_agrees_with_row_checks():
+    # the five-term sequence is exact at K0, Kn and K1 exactly when the
+    # short row is injective, exact in the middle and surjective.  Over
+    # the instance's own Kn, a row exact in the middle that fails at one
+    # end also fails at the other (count orders), so two rows through
+    # K1[n] alone and K0 (x) Z/n alone make each end fail by itself
+    cases = [dp_truncation(2, 4, 3)]
+    for seed in range(60):
+        inst = random_instance(seed)
+        cases.append(inst)
+        try:
+            cases.append(fixtures.plant_defect(inst, "break-exactness"))
+        except DefectNotApplicableError:
+            pass
+        rng = random.Random(seed)
+        T, _ = inst.tensor()
+        T1, _ = inst.torsion()
+        Kn = inst.coeff.Kn
+        cases += [with_row(inst, rho=GroupHom.zero(T, Kn)),
+                  with_row(inst, beta=GroupHom.zero(Kn, T1)),
+                  with_row(inst, rho=fixtures.random_hom(T, Kn, rng)),
+                  with_row(inst, beta=fixtures.random_hom(Kn, T1, rng)),
+                  with_row(inst, GroupHom.zero(T, T1), GroupHom.identity(T1),
+                           inst.torsion_sub),
+                  with_row(inst, GroupHom.identity(T), GroupHom.zero(T, T1),
+                           inst.tensor_sub)]
+    names = ("sequence-exact:rho-injective", "sequence-exact:kernel-image",
+             "sequence-exact:beta-surjective")
+    seen = set()
+    for inst in cases:
+        report = validate_instance(inst)
+        # every row above has the right domains, so the comparison
+        # applies to every case
+        assert report.find("hom-validity:rho_tilde").passed
+        assert report.find("hom-validity:beta_tilde").passed
+        row = tuple(report.find(name).passed for name in names)
+        seen.add(row)
+        assert five_term_exact(inst) == all(row)
+    # exact rows, and each check failing alone
+    assert {(True, True, True), (False, True, True), (True, False, True),
+            (True, True, False)} <= seen
 
 
 def test_mod_reduction_kernel_is_n_times_k0():

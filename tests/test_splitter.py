@@ -27,8 +27,7 @@ from idealsplit.kunneth import (CoeffGroup, IdealNode, KData,
 from idealsplit.lattice import IdealLattice
 from idealsplit.splitter import (ComplexIso, SplittingFamily,
                                  build_ideal_splitting, check_gamma_exact,
-                                 exhaustive_ideal_splittings,
-                                 extend_splitting, full_section,
+                                 exhaustive_ideal_splittings, full_section,
                                  glue_comaximal, lift_isomorphism,
                                  restriction_hom, verify_ideal_splitting)
 
@@ -229,21 +228,45 @@ def natural_sigma(inst, parts, id):
 def test_extend_splitting_from_middle():
     inst, parts = diamond_instance()
     tau = natural_sigma(inst, parts, "a")
-    sigma = extend_splitting(inst, "a", tau)
+    sigma = splitter._extend_solver(inst, "a", "top", tau)
     assert sigma is not None
     g_top, incl_top, _ = inst.torsion_sub("top").as_group()
     assert inst.coeff.beta_tilde @ sigma == incl_top
     assert sigma @ restriction_hom(inst, "a", "top") == tau
 
 
-def test_extend_splitting_rejects_invalid_tau():
-    inst, _ = diamond_instance()
+def test_extend_splitting_no_extension_returns_none():
+    inst = nonsplit_instance()
+    g_bot, _, _ = inst.torsion_sub("bot").as_group()
+    tau = GroupHom.zero(g_bot, inst.coeff.Kn)
+    assert splitter._extend_solver(inst, "bot", "top", tau) is None
+
+
+def test_extend_splitting_on_diamond():
+    inst, parts = diamond_instance()
+    tau = natural_sigma(inst, parts, "a")
+    sigma = splitter._extend_solver(inst, "a", "top", tau)
+    assert sigma is not None
+    g_top, incl_top, _ = inst.torsion_sub("top").as_group()
+    assert inst.coeff.beta_tilde @ sigma == incl_top
+    assert sigma @ restriction_hom(inst, "a", "top") == tau
+    assert image(sigma) <= inst.node("top").Kn_sub
+
+
+# --- gluing ----------------------------------------------------------------
+
+def test_glue_rejects_a_part_that_is_not_a_section():
+    inst, parts = diamond_instance()
     g_a, _, _ = inst.torsion_sub("a").as_group()
-    with pytest.raises(NotASplittingError):
-        extend_splitting(inst, "a", GroupHom.zero(g_a, inst.coeff.Kn))
+    sigmas = {"a": GroupHom.zero(g_a, inst.coeff.Kn),
+              "b": natural_sigma(inst, parts, "b")}
+    with pytest.raises(NotASplittingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == \
+        "beta_tilde . sigma is not the identity on K1(a)[n]"
 
 
-def test_extend_splitting_with_escaping_tau():
+def test_glue_rejects_a_part_whose_image_escapes():
     # a section whose image leaves Kn(a) is rejected up front
     inst, parts = diamond_instance()
     tau_top = natural_sigma(inst, parts, "top")
@@ -253,29 +276,11 @@ def test_extend_splitting_with_escaping_tau():
     # tensor coordinate that lies outside Kn(a)
     w = GroupHom(parts.T1, parts.T, [[0, 0], [1, 0]])
     bad = bad + (parts.i1 @ w @ incl_a)
-    with pytest.raises(NotASplittingError):
-        extend_splitting(inst, "a", bad)
+    sigmas = {"a": bad, "b": natural_sigma(inst, parts, "b")}
+    with pytest.raises(NotASplittingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == "sigma image escapes Kn(a)"
 
-
-def test_extend_splitting_no_extension_returns_none():
-    inst = nonsplit_instance()
-    g_bot, _, _ = inst.torsion_sub("bot").as_group()
-    tau = GroupHom.zero(g_bot, inst.coeff.Kn)
-    assert extend_splitting(inst, "bot", tau) is None
-
-
-def test_extend_splitting_on_diamond():
-    inst, parts = diamond_instance()
-    tau = natural_sigma(inst, parts, "a")
-    sigma = extend_splitting(inst, "a", tau)
-    assert sigma is not None
-    g_top, incl_top, _ = inst.torsion_sub("top").as_group()
-    assert inst.coeff.beta_tilde @ sigma == incl_top
-    assert sigma @ restriction_hom(inst, "a", "top") == tau
-    assert image(sigma) <= inst.node("top").Kn_sub
-
-
-# --- gluing ----------------------------------------------------------------
 
 def test_glue_comaximal_diamond():
     inst, parts = diamond_instance()

@@ -4,11 +4,14 @@ A public module-level function or class in ``src/idealsplit`` must be
 exported in ``idealsplit.__all__`` or referenced somewhere in ``src/``
 or ``perfbench/`` outside its own definition: as a name, an attribute,
 an import, or a string (perfbench installs its hooks by attribute
-name).  A name that only tests use belongs in the tests, for example as
-an oracle in ``tests/oracles.py``.
+name).  An exported name must earn its place the same way, with a
+reference in ``src/`` outside ``__init__.py`` or in ``perfbench/``, or
+else be named in ``README.md``.  A name that only tests use belongs in
+the tests, for example as an oracle in ``tests/oracles.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import idealsplit
@@ -30,39 +33,77 @@ def _references(tree):
             yield node.value, node.lineno
 
 
-def public_definitions():
-    """(module path, definition node) for each public top-level def."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                yield path, node
-
-
-def unreferenced_names():
-    sources = sorted(PACKAGE.glob("*.py")) \
-        + sorted((ROOT / "perfbench").glob("*.py"))
+def _reference_map(sources):
     refs = {}
     for path in sources:
         for name, line in _references(ast.parse(path.read_text())):
             refs.setdefault(name, []).append((path, line))
+    return refs
+
+
+def _referenced_outside(refs, path, node, name):
+    return any(p != path or not node.lineno <= line <= node.end_lineno
+               for p, line in refs.get(name, ()))
+
+
+def top_level_definitions():
+    """(module path, node, name) for each top-level def, class or
+    assigned name in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path, node, node.name
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield path, node, target.id
+
+
+def public_definitions():
+    """(module path, definition node) for each public top-level def."""
+    for path, node, name in top_level_definitions():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not name.startswith("_"):
+            yield path, node
+
+
+def unreferenced_names():
+    refs = _reference_map(sorted(PACKAGE.glob("*.py"))
+                          + sorted((ROOT / "perfbench").glob("*.py")))
     exported = set(idealsplit.__all__)
-    missing = []
-    for path, node in public_definitions():
-        if node.name in exported:
-            continue
-        outside = [(p, line) for p, line in refs.get(node.name, ())
-                   if p != path or not node.lineno <= line <= node.end_lineno]
-        if not outside:
-            missing.append("%s.%s" % (path.stem, node.name))
-    return missing
+    return ["%s.%s" % (path.stem, node.name)
+            for path, node in public_definitions()
+            if node.name not in exported
+            and not _referenced_outside(refs, path, node, node.name)]
+
+
+def unearned_exports():
+    """Names in ``__all__`` with no reference in ``src/`` (outside
+    ``__init__.py`` and their own definition) or ``perfbench/``, and no
+    mention in ``README.md``."""
+    refs = _reference_map(
+        [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+        + sorted((ROOT / "perfbench").glob("*.py")))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    defined = {name: (path, node)
+               for path, node, name in top_level_definitions()
+               if path.name != "__init__.py"}
+    return sorted(name for name in idealsplit.__all__
+                  if name not in readme
+                  and not _referenced_outside(refs, *defined[name], name))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreferenced_names() == []
 
 
+def test_every_exported_name_has_a_caller_or_a_readme_line():
+    assert unearned_exports() == []
+
+
 def test_scan_sees_the_package():
     # the scan must look at real definitions, or it passes vacuously
     names = {node.name for _, node in public_definitions()}
     assert {"check_gamma_exact", "gamma0", "sum_model"} <= names
+    defined = {name for _, _, name in top_level_definitions()}
+    assert set(idealsplit.__all__) <= defined
