@@ -38,25 +38,25 @@ def _load_instance(path):
     return instance_from_json(load_file(path))
 
 
-def _print_results(results, fmt, stream=None):
-    stream = stream or sys.stdout
+def _print_results(results, fmt):
+    write = sys.stdout.write
     ok = all(r.passed for r in results)
     if fmt == "json":
-        stream.write(dumps_canonical(
+        write(dumps_canonical(
             {"ok": ok,
              "checks": [{"name": r.name, "ok": r.passed,
                          "witness": r.witness} for r in results]}))
     else:
         for r in results:
             if r.passed:
-                stream.write("ok   %s\n" % r.name)
+                write("ok   %s\n" % r.name)
             else:
-                stream.write("FAIL %s: %s\n" % (r.name, r.witness))
+                write("FAIL %s: %s\n" % (r.name, r.witness))
         failed = sum(1 for r in results if not r.passed)
         if failed:
-            stream.write("%d of %d checks failed\n" % (failed, len(results)))
+            write("%d of %d checks failed\n" % (failed, len(results)))
         else:
-            stream.write("all %d checks passed\n" % len(results))
+            write("all %d checks passed\n" % len(results))
     return ok
 
 

@@ -22,6 +22,12 @@ from .splitter import ComplexIso, SplittingFamily
 
 SCHEMA_VERSION = "1"
 
+# Largest group rank (invariant factors plus free rank) a document may
+# declare.  Maps are dense matrices over these ranks, so a larger rank
+# would stall parsing rather than fail; every instance the fixtures
+# generate stays far below it.
+MAX_RANK = 1024
+
 
 @contextmanager
 def _schema(where):
@@ -90,6 +96,9 @@ def group_from_json(obj, where):
                for d in _list(obj["invariant_factors"],
                               where + ".invariant_factors")]
     rank = _int(obj["free_rank"], where + ".free_rank")
+    if len(factors) + rank > MAX_RANK:
+        raise SchemaError("%s: rank %d exceeds the limit %d"
+                          % (where, len(factors) + rank, MAX_RANK))
     with _schema(where):
         return FgGroup(tuple(factors), rank)
 

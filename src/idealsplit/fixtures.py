@@ -262,12 +262,13 @@ def random_hom(domain, codomain, rng):
     return GroupHom(domain, codomain, rows)
 
 
-def random_automorphism(group, rng, steps=4):
-    """Product of valid elementary shears and equal-order swaps."""
+def random_automorphism(group, rng):
+    """Product of up to four valid elementary shears and equal-order
+    swaps."""
     aut = GroupHom.identity(group)
     orders = group.orders
     r = group.rank
-    for _ in range(steps):
+    for _ in range(4):
         if r < 2:
             break
         i, j = rng.sample(range(r), 2)

@@ -8,8 +8,10 @@ coefficient group Kn sitting in the row
 and one subgroup triple per ideal id.  Constructors enforce only
 structural well-formedness (ranks, ambients, lattice node set); every
 semantic hypothesis is a named check in :func:`validate_instance`, which
-never raises and reports a witness for each failure.  The fixed check
-order makes reports byte-stable for identical inputs.
+never raises and reports a witness for each failure.  A check returns
+its witness text, or None when it passes, and :func:`check_runner`
+records it; every subgroup comparison is worded by :func:`_gap`.  The
+fixed check order makes reports byte-stable for identical inputs.
 
 Multi-coefficient data lives in :class:`CoherentFamily`, whose kappa
 maps are checked against the three exact scalar relations
@@ -309,50 +311,39 @@ class ValidationReport:
 def check_runner(results):
     """A ``run(name, fn)`` that appends fn's verdict to ``results``.
 
-    ``fn()`` returns ``(passed, witness)``; the witness is kept only on
-    failure.  A check that cannot even be evaluated fails with the
-    exception text as its witness, so building a report never raises.
+    ``fn()`` returns the failure witness, a non-empty str, or None when
+    the check passes.  A check that cannot even be evaluated fails with
+    the exception text as its witness, so building a report never
+    raises.
     """
     def run(name, fn):
         try:
-            ok, witness = fn()
+            witness = fn()
         except Exception as exc:  # report, never propagate
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(ok), None if ok else witness))
+            witness = "%s: %s" % (type(exc).__name__, exc)
+        results.append(CheckResult(name, witness is None, witness))
     return run
 
 
-def _missing_from(a, b):
-    """A generator of subgroup a outside subgroup b, or None."""
-    for g in a.generators:
-        if not b.contains(g):
-            return g
-    return None
+def _gap(a, b, only_a, only_b=None):
+    """None when subgroup a equals b (or, without ``only_b``, lies in
+    b), else the witness text.
 
-
-def _sub_leq(a, b, label):
-    w = _missing_from(a, b)
-    if w is None:
-        return True, None
-    return False, "%s: element %r escapes" % (label, tuple(w))
-
-
-def _sub_eq(a, b, label):
-    """Subgroup equality, witnessed on failure.
-
-    Subgroups keep canonical generators, so ``a == b`` settles equality
-    at once.  Only otherwise do the generator scans run: they decide the
-    verdict and name the witness of a failure.
+    Canonical generators make ``a == b`` settle equality at once; only
+    otherwise is a generator of one side outside the other looked for,
+    and ``only_a`` or ``only_b`` words it.  A canonical generator needs
+    no reduction: its torsion entries already lie in [0, d), and the
+    relation rows, which lie in every subgroup, are never a witness.
     """
     if a == b:
-        return True, None
-    w = _missing_from(a, b)
-    if w is not None:
-        return False, "%s: element %r only on the left" % (label, tuple(w))
-    w = _missing_from(b, a)
-    if w is not None:
-        return False, "%s: element %r only on the right" % (label, tuple(w))
-    return True, None
+        return None
+    for x, y, say in ((a, b, only_a), (b, a, only_b)):
+        if say is None:
+            break
+        for g in x.generators:
+            if not y.contains(g):
+                return say(g)
+    return None
 
 
 def _components(*nodes):
@@ -375,49 +366,55 @@ def validate_instance(inst):
     def hom_validity_rho():
         tgroup, _ = inst.tensor()
         if coeff.rho_tilde.domain != tgroup:
-            return False, "domain is not K0 (x) Z/%d" % coeff.n
+            return "domain is not K0 (x) Z/%d" % coeff.n
         if coeff.rho_tilde.codomain != coeff.Kn:
-            return False, "codomain is not Kn"
-        return True, None
+            return "codomain is not Kn"
+        return None
 
     def hom_validity_beta():
         tors, _ = inst.torsion()
         if coeff.beta_tilde.domain != coeff.Kn:
-            return False, "domain is not Kn"
+            return "domain is not Kn"
         if coeff.beta_tilde.codomain != tors:
-            return False, "codomain is not K1[%d]" % coeff.n
-        return True, None
+            return "codomain is not K1[%d]" % coeff.n
+        return None
 
     run("hom-validity:rho_tilde", hom_validity_rho)
     run("hom-validity:beta_tilde", hom_validity_beta)
     run("k0-torsion-free",
-        lambda: (data.K0.is_torsion_free(),
-                 "invariant factors %r" % (data.K0.invariant_factors,)))
+        lambda: None if data.K0.is_torsion_free()
+        else "invariant factors %r" % (data.K0.invariant_factors,))
 
     def rho_injective():
         ker = kernel(coeff.rho_tilde)
-        g = _missing_from(ker, Subgroup.zero(ker.ambient))
-        if g is None:
-            return True, None
-        return False, "kernel contains %r" % (tuple(ker.ambient.reduce(g)),)
+        return _gap(ker, Subgroup.zero(ker.ambient),
+                    lambda g: "kernel contains %r" % (g,))
+
+    def leq(a, b, label):
+        return _gap(a, b, lambda g: "%s: element %r escapes" % (label, g))
+
+    def eq(a, b, label):
+        return _gap(a, b,
+                    lambda g: "%s: element %r only on the left" % (label, g),
+                    lambda g: "%s: element %r only on the right" % (label, g))
 
     run("sequence-exact:rho-injective", rho_injective)
     run("sequence-exact:kernel-image",
-        lambda: _sub_eq(kernel(coeff.beta_tilde), image(coeff.rho_tilde),
-                        "ker beta_tilde vs im rho_tilde"))
+        lambda: eq(kernel(coeff.beta_tilde), image(coeff.rho_tilde),
+                   "ker beta_tilde vs im rho_tilde"))
     run("sequence-exact:beta-surjective",
-        lambda: (coeff.beta_tilde.is_surjective(),
-                 "beta_tilde misses part of K1[%d]" % coeff.n))
+        lambda: None if coeff.beta_tilde.is_surjective()
+        else "beta_tilde misses part of K1[%d]" % coeff.n)
 
     def bound(find, name, holds, word):
         def check():
             x = find()
             if x is None:
-                return False, "lattice has no %s" % name
+                return "lattice has no %s" % name
             for tag, sub in _components(inst.node(x)):
                 if not holds(sub):
-                    return False, "%s(%s) is %s" % (tag, x, word)
-            return True, None
+                    return "%s(%s) is %s" % (tag, x, word)
+            return None
         return check
 
     run("bottom-trivial",
@@ -427,48 +424,47 @@ def validate_instance(inst):
     ids = list(order.nodes)
     for i in ids:
         run("purity:K0:%s" % i,
-            lambda i=i: (inst.node(i).K0_sub.is_pure(),
-                         "K0(%s) is not a pure subgroup" % i))
+            lambda i=i: None if inst.node(i).K0_sub.is_pure()
+            else "K0(%s) is not a pure subgroup" % i)
         run("purity:K1:%s" % i,
-            lambda i=i: (inst.node(i).K1_sub.is_pure(),
-                         "K1(%s) is not a pure subgroup" % i))
+            lambda i=i: None if inst.node(i).K1_sub.is_pure()
+            else "K1(%s) is not a pure subgroup" % i)
     for i in ids:
         run("naturality:rho:%s" % i,
-            lambda i=i: _sub_leq(inst.rho_image(i), inst.node(i).Kn_sub,
-                                 "rho_tilde image of K0(%s)" % i))
+            lambda i=i: leq(inst.rho_image(i), inst.node(i).Kn_sub,
+                            "rho_tilde image of K0(%s)" % i))
         run("naturality:beta:%s" % i,
-            lambda i=i: _sub_leq(inst.beta_image(i), inst.torsion_sub(i),
-                                 "beta_tilde image of Kn(%s)" % i))
+            lambda i=i: leq(inst.beta_image(i), inst.torsion_sub(i),
+                            "beta_tilde image of Kn(%s)" % i))
     for i in ids:
         run("ideal-exactness:middle:%s" % i,
-            lambda i=i: _sub_eq(inst.kernel_beta().meet(inst.node(i).Kn_sub),
-                                inst.rho_image(i),
-                                "ker beta_tilde in Kn(%s)" % i))
+            lambda i=i: eq(inst.kernel_beta().meet(inst.node(i).Kn_sub),
+                           inst.rho_image(i), "ker beta_tilde in Kn(%s)" % i))
         run("ideal-exactness:surjective:%s" % i,
-            lambda i=i: _sub_leq(inst.torsion_sub(i), inst.beta_image(i),
-                                 "K1(%s)[n] vs beta_tilde image" % i))
+            lambda i=i: leq(inst.torsion_sub(i), inst.beta_image(i),
+                            "K1(%s)[n] vs beta_tilde image" % i))
 
     for lo, hi in order.cover_edges():
         def mono(lo=lo, hi=hi):
             for tag, x, y in _components(inst.node(lo), inst.node(hi)):
-                ok, w = _sub_leq(x, y, "%s(%s) vs %s(%s)" % (tag, lo, tag, hi))
-                if not ok:
-                    return False, w
-            return True, None
+                w = leq(x, y, "%s(%s) vs %s(%s)" % (tag, lo, tag, hi))
+                if w is not None:
+                    return w
+            return None
         run("monotonicity:%s<%s" % (lo, hi), mono)
 
     def law(op, symbol, i, j):
         def check():
             m = getattr(order, op)(i, j)
             if m is None:
-                return False, "lattice %s of %s, %s undefined" % (op, i, j)
+                return "lattice %s of %s, %s undefined" % (op, i, j)
             for tag, s1, s2, s3 in _components(inst.node(i), inst.node(j),
                                                inst.node(m)):
-                ok, w = _sub_eq(s3, getattr(s1, op)(s2),
-                                "%s(%s %s %s)" % (tag, i, symbol, j))
-                if not ok:
-                    return False, w
-            return True, None
+                w = eq(s3, getattr(s1, op)(s2),
+                       "%s(%s %s %s)" % (tag, i, symbol, j))
+                if w is not None:
+                    return w
+            return None
         return check
 
     for x in range(len(ids)):
@@ -478,18 +474,18 @@ def validate_instance(inst):
             run("lattice-laws:join:%s,%s" % (i, j), law("join", "v", i, j))
 
     run("lattice-shape",
-        lambda: (order.is_bounded_lattice(),
-                 "not a bounded lattice (missing bound or meet/join)"))
+        lambda: None if order.is_bounded_lattice()
+        else "not a bounded lattice (missing bound or meet/join)")
 
     def distributive():
         if order.is_distributive():
-            return True, None
+            return None
         if not order.is_bounded_lattice():
-            return False, "not even a bounded lattice"
+            return "not even a bounded lattice"
         a, b, c = order.distributivity_counterexample()
-        return False, ("%s ^ (%s v %s) = %s but (^v^) gives %s"
-                       % (a, b, c, order.meet(a, order.join(b, c)),
-                          order.join(order.meet(a, b), order.meet(a, c))))
+        return ("%s ^ (%s v %s) = %s but (^v^) gives %s"
+                % (a, b, c, order.meet(a, order.join(b, c)),
+                   order.join(order.meet(a, b), order.meet(a, c))))
 
     run("lattice-distributive", distributive)
 
@@ -499,10 +495,9 @@ def validate_instance(inst):
             node = inst.node(i)
             key = (node.K0_sub, node.K1_sub)
             if key in seen:
-                return False, "%s and %s carry identical K-data" % (seen[key],
-                                                                    i)
+                return "%s and %s carry identical K-data" % (seen[key], i)
             seen[key] = i
-        return True, None
+        return None
 
     run("lattice-injective", injective)
     return ValidationReport(results)
@@ -645,9 +640,7 @@ def check_coherence(fam):
         """
         def check():
             lhs = _scaled(compose(), scalar.denominator)
-            if lhs != _scaled(plain, scalar.numerator):
-                return False, text
-            return True, None
+            return None if lhs == _scaled(plain, scalar.numerator) else text
         return check
 
     for m, n in pairs:

@@ -13,8 +13,9 @@ another way:
   ``is_pure_bruteforce`` checks ``nG meet H = nH`` for every n up to
   the exponent;
 * ``full_scan_reduce`` searches every basis row's pivot from column 0,
-  and ``scan_sub_eq`` decides subgroup equality by a membership scan of
-  every generator in both directions;
+  and ``scan_sub_eq``, the oracle for ``kunneth._gap``, decides
+  subgroup equality by a membership scan of every generator in both
+  directions;
 * ``gamma1_with_pairs`` builds Gamma1 standalone, from its own direct
   sum of the parts, where ``splitter.check_gamma_exact`` builds it from
   the one Gamma0 it certifies;
@@ -164,14 +165,15 @@ def full_scan_reduce(vec, basis, track=False):
 
 
 def scan_sub_eq(a, b, label):
-    """``kunneth._sub_eq`` as a membership scan both ways, every time."""
+    """The oracle for ``kunneth._gap``: a membership scan both ways,
+    every time, returning the first witness text or None."""
     for g in a.generators:
         if not b.contains(g):
-            return False, "%s: element %r only on the left" % (label, tuple(g))
+            return "%s: element %r only on the left" % (label, tuple(g))
     for g in b.generators:
         if not a.contains(g):
-            return False, "%s: element %r only on the right" % (label, tuple(g))
-    return True, None
+            return "%s: element %r only on the right" % (label, tuple(g))
+    return None
 
 
 def gamma1_with_pairs(parts, pair_subs):

@@ -81,6 +81,19 @@ def test_validate_mistyped_family_block_exits_2(tmp_path, capsys):
                    "expected an object"]
 
 
+def test_validate_oversized_group_exits_2(tmp_path, capsys):
+    # a hostile free rank is a file error, not a hang or a traceback
+    doc = instance_to_json(diamond24())
+    doc["groups"]["K0"]["free_rank"] = 10 ** 6
+    path = tmp_path / "huge.json"
+    save_file(str(path), doc)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: instance.groups.K0: rank 1000000 exceeds the limit 1024"]
+
+
 def test_validate_includes_family_checks(tmp_path, capsys):
     fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
     inst = direct_sum_instance(Z, FgGroup((4,)), 2, {})

@@ -374,6 +374,29 @@ def test_subgroup_equality_and_ambient_checks():
         h1.meet(fgab.Subgroup(fgab.FgGroup((4,)), [(2,)]))
 
 
+def test_canonical_generators_need_no_reduction():
+    # each torsion column of a canonical Hermite basis has a pivot that
+    # divides its order, so every generator but the relation rows has
+    # its torsion entries in [0, d) already: kunneth._gap prints its
+    # witnesses as they stand
+    rng = random.Random(0xF6AC3)
+    seen = set()
+    for _ in range(300):
+        g = random_group(rng, max_factors=3, max_free=2,
+                         factor_pool=(2, 3, 4))
+        relations = {tuple(d if j == i else 0 for j in range(g.rank))
+                     for i, d in enumerate(g.orders) if d}
+        sub = random_subgroup(rng, g, max_gens=4, spread=9)
+        for row in sub.generators:
+            if row in relations:
+                seen.add("relation")
+            else:
+                assert g.reduce(row) == row, (g, sub)
+                torsion = any(row[:len(g.invariant_factors)])
+                seen.add("torsion" if torsion else "free only")
+    assert seen == {"relation", "torsion", "free only"}
+
+
 def test_as_group_roundtrip():
     rng = random.Random(0xF6AB6)
     for _ in range(30):
@@ -523,14 +546,24 @@ def test_torsion_functor_laws():
 
 
 def test_torsion_inclusion_naturality():
+    # f . incl_a = incl_b . f[n]; among the ends are torsion-free groups
+    # and torsion groups whose orders are coprime to n (trivial G[n])
     rng = random.Random(0xF6ABB)
-    for _ in range(30):
-        n = rng.choice([2, 3, 4])
+    seen = set()
+    for _ in range(120):
+        n = rng.choice([2, 3, 4, 5])
         a, b = random_group(rng), random_group(rng)
         f = random_hom(rng, a, b)
-        _, incl_a = fgab.n_torsion_group(a, n)
-        _, incl_b = fgab.n_torsion_group(b, n)
+        ta, incl_a = fgab.n_torsion_group(a, n)
+        tb, incl_b = fgab.n_torsion_group(b, n)
         assert f @ incl_a == incl_b @ fgab.induced_torsion_hom(f, n)
+        for side, g, t in (("domain", a, ta), ("codomain", b, tb)):
+            if g.is_torsion_free():
+                seen.add(side + " torsion free")
+            elif t.is_trivial():
+                seen.add(side + " coprime to n")
+    assert seen == {"domain torsion free", "codomain torsion free",
+                    "domain coprime to n", "codomain coprime to n"}
 
 
 # --- purity --------------------------------------------------------------

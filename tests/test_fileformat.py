@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from idealsplit import fileformat
 from idealsplit.errors import SchemaError
 from idealsplit.fgab import FgGroup, GroupHom
 from idealsplit.fileformat import (SCHEMA_VERSION, complex_iso_from_json,
@@ -123,6 +124,21 @@ def test_bad_group_records():
         group_from_json({"invariant_factors": [], "free_rank": -1}, "g")
     with pytest.raises(SchemaError, match="integer"):
         group_from_json({"invariant_factors": ["2"], "free_rank": 0}, "g")
+
+
+def test_oversized_group_record_is_rejected():
+    # a rank past fileformat.MAX_RANK fails at its location before any
+    # group or matrix over it is built
+    with pytest.raises(SchemaError) as err:
+        group_from_json({"invariant_factors": [], "free_rank": 10 ** 6},
+                        "instance.groups.K0")
+    assert str(err.value) == ("instance.groups.K0: rank 1000000 exceeds "
+                              "the limit 1024")
+    limit = fileformat.MAX_RANK
+    assert group_from_json({"invariant_factors": [], "free_rank": limit},
+                           "g").rank == limit
+    with pytest.raises(SchemaError, match="rank 1025 exceeds"):
+        group_from_json({"invariant_factors": [2], "free_rank": limit}, "g")
 
 
 def test_lattice_and_ideals_cross_checked():

@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from idealsplit import fixtures, intmat, kunneth
+from idealsplit import fixtures, intmat, kunneth, splitter
 from idealsplit.errors import (AmbientMismatchError,
                                DefectNotApplicableError, HomDefinitionError,
                                LatticeError, MissingMapError,
@@ -215,6 +215,13 @@ def test_failure_witnesses_are_pinned():
 
 
 def test_sub_eq_matches_scan_oracle():
+    # _gap words each side's witness like the oracle does
+    def left(g):
+        return "pair: element %r only on the left" % (g,)
+
+    def right(g):
+        return "pair: element %r only on the right" % (g,)
+
     rng = random.Random(0x5EB1)
     seen = collections.Counter()
     for _ in range(240):
@@ -241,35 +248,41 @@ def test_sub_eq_matches_scan_oracle():
             k = Subgroup(free, h.generators if rng.random() < 0.5
                          else random_subgroup(rng, free).generators)
         for a, b in ((h, k), (k, h)):
-            got = kunneth._sub_eq(a, b, "pair")
+            got = kunneth._gap(a, b, left, right)
             assert got == scan_sub_eq(a, b, "pair")
-            if got[0]:
+            # containment only: the left witness, or None
+            assert kunneth._gap(a, b, left) == (
+                got if got is not None and got.endswith("left") else None)
+            if got is None:
                 seen["equal" if a == b else "other ambient"] += 1
             else:
-                seen[got[1].rpartition(" ")[2]] += 1
+                seen[got.rpartition(" ")[2]] += 1
     assert set(seen) == {"equal", "other ambient", "left", "right"}, seen
     assert sum(seen.values()) >= 200
 
 
 def test_valid_instances_never_scan_for_witnesses(monkeypatch):
     # every equality holds on a valid instance and equal canonical
-    # subgroups compare equal, so a generator scan inside _sub_eq is
-    # wasted work; so is a transform built for hnf_nonzero
+    # subgroups compare equal, so a membership scan inside an equality
+    # _gap (one given only_b) is wasted work; so is a transform built
+    # for hnf_nonzero
     seen = collections.Counter()
     depth = [0]
-    sub_eq, missing_from = kunneth._sub_eq, kunneth._missing_from
+    gap, contains = kunneth._gap, Subgroup.contains
     hnf_nonzero, hnf_rows = intmat.hnf_nonzero, intmat.hnf_rows
 
-    def counted_sub_eq(*args):
-        depth[0] += 1
+    def counted_gap(a, b, only_a, only_b=None):
+        equality = only_b is not None
+        seen["equalities"] += equality
+        depth[0] += equality
         try:
-            return sub_eq(*args)
+            return gap(a, b, only_a, only_b)
         finally:
-            depth[0] -= 1
+            depth[0] -= equality
 
-    def counted_missing_from(a, b):
-        seen["scans inside _sub_eq"] += depth[0] > 0
-        return missing_from(a, b)
+    def counted_contains(self, vec):
+        seen["scans inside an equality"] += depth[0] > 0
+        return contains(self, vec)
 
     def counted_hnf_nonzero(*args, **kwargs):
         seen["hnf_nonzero"] += 1
@@ -279,15 +292,63 @@ def test_valid_instances_never_scan_for_witnesses(monkeypatch):
         seen["hnf_rows without transform"] += not transform
         return hnf_rows(*args, transform=transform, **kwargs)
 
-    monkeypatch.setattr(kunneth, "_sub_eq", counted_sub_eq)
-    monkeypatch.setattr(kunneth, "_missing_from", counted_missing_from)
+    monkeypatch.setattr(kunneth, "_gap", counted_gap)
+    monkeypatch.setattr(Subgroup, "contains", counted_contains)
     monkeypatch.setattr(intmat, "hnf_nonzero", counted_hnf_nonzero)
     monkeypatch.setattr(intmat, "hnf_rows", counted_hnf_rows)
     for inst in [dp_truncation(2, 8, 7)] + [random_instance(s)
                                             for s in range(4)]:
         assert validate_instance(inst).failures() == []
-    assert seen["scans inside _sub_eq"] == 0
+    assert seen["equalities"] > 0
+    assert seen["scans inside an equality"] == 0
     assert seen["hnf_rows without transform"] == seen["hnf_nonzero"] > 0
+
+
+def test_every_check_returns_its_witness_or_none():
+    # one contract for every check: it passed exactly when its witness
+    # is None, and a failing witness is a non-empty str, so a check
+    # still returning a (passed, witness) pair fails here
+    reports = collections.defaultdict(list)
+    for seed in range(60):
+        inst = random_instance(seed)
+        reports["validate"].append(validate_instance(inst))
+        fam = splitter.build_ideal_splitting(inst, validate=False)
+        reports["verify"].append(splitter.verify_ideal_splitting(inst, fam))
+        for kind in fixtures.DEFECT_KINDS:
+            try:
+                bad = fixtures.plant_defect(inst, kind)
+            except DefectNotApplicableError:
+                continue
+            reports["validate"].append(validate_instance(bad))
+    reports["validate"].append(validate_instance(dp_truncation(2, 4, 3)))
+    # a section pushed outside Kn(a), and no section at b
+    inst, parts = diamond_instance()
+    fam = splitter.build_ideal_splitting(inst)
+    g_a, _, _ = inst.torsion_sub("a").as_group()
+    broken = dict(fam.sigmas)
+    broken["a"] = fam.sigma("a") + parts.i1 @ GroupHom(g_a, parts.T,
+                                                       [[0], [1]])
+    del broken["b"]
+    reports["verify"].append(splitter.verify_ideal_splitting(
+        inst, splitter.SplittingFamily(broken)))
+    # a coherent family, and one whose kappa[4,2] has the wrong shape
+    fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
+    bent = CoherentFamily(fam.data, fam.coeffs, fam.kappa, fam.lam,
+                          fam.sigmas)
+    wrong = dict(fam.kappa)
+    wrong[(4, 2)] = GroupHom.identity(fam.coeffs[4].Kn)
+    object.__setattr__(bent, "kappa", wrong)
+    reports["coherence"] += [check_coherence(fam), check_coherence(bent)]
+    seen = set()
+    for kind, group in reports.items():
+        for report in group:
+            for r in report:
+                assert r.passed == (r.witness is None), r
+                if not r.passed:
+                    assert isinstance(r.witness, str) and r.witness, r
+                seen.add((kind, r.passed))
+    assert seen == {(kind, passed) for kind in reports
+                    for passed in (True, False)}
 
 
 def test_constructor_rejects_structural_breakage():

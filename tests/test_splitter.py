@@ -8,16 +8,17 @@ direct solver, and the exhaustive oracle must all agree that no section
 exists there.
 """
 
+import collections
 import random
 
 import pytest
 
 from idealsplit import splitter
 from idealsplit.errors import (AmbientMismatchError, GluingError,
-                               InstanceValidationError, LiftHypothesisError,
-                               MissingSigmaError, NotASplittingError,
-                               NotComaximalError, SizeBoundError,
-                               SplittingObstructionError)
+                               HomDefinitionError, InstanceValidationError,
+                               LiftHypothesisError, MissingSigmaError,
+                               NotASplittingError, NotComaximalError,
+                               SizeBoundError, SplittingObstructionError)
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image,
                              image_subgroup, kernel, n_torsion_group,
                              tensor_zmod)
@@ -338,6 +339,30 @@ def test_glue_rejects_unreachable_target():
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
 
 
+def test_glue_wraps_only_hom_definition_errors(monkeypatch):
+    # from_images raises only HomDefinitionError on the glued images;
+    # any other error is a bug in the glue and propagates as it is
+    inst, parts = diamond_instance()
+    sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
+    from_images = GroupHom.from_images
+
+    def failing(exc):
+        def patched(domain, codomain, images):
+            if codomain is inst.coeff.Kn:  # the glued section only
+                raise exc
+            return from_images(domain, codomain, images)
+        return patched
+
+    monkeypatch.setattr(GroupHom, "from_images", failing(TypeError("boom")))
+    with pytest.raises(TypeError, match="boom"):
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    monkeypatch.setattr(GroupHom, "from_images",
+                        failing(HomDefinitionError("bad images")))
+    with pytest.raises(GluingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == "glued images do not define a hom: bad images"
+
+
 def test_glue_missing_sigma():
     inst, parts = diamond_instance()
     with pytest.raises(MissingSigmaError):
@@ -373,9 +398,13 @@ def boolean_instance(k):
 def test_glue_builds_its_gamma_complex_once(monkeypatch):
     # counts, not timing: each glue builds the direct sum of its parts
     # once (for Gamma0 inside check_gamma_exact) and reuses it, and an
-    # exact complex is settled by identity without a witness scan
+    # exact complex is settled by identity: its Gamma comparisons
+    # return at a == b, without a membership scan
     glues = []
+    seen = collections.Counter()
+    depth = [0]
     direct_sum, glue = splitter.direct_sum, splitter.glue_comaximal
+    gap, contains = splitter._gap, Subgroup.contains
 
     def counted_direct_sum(groups):
         glues[-1][1].append(list(groups))
@@ -386,17 +415,29 @@ def test_glue_builds_its_gamma_complex_once(monkeypatch):
         glues.append((groups, []))
         return glue(inst, I, parts, sigmas)
 
-    def no_scan(a, b):
-        raise AssertionError("an exact Gamma complex was scanned")
+    def counted_gap(a, b, only_a, only_b=None):
+        seen["comparisons"] += 1
+        depth[0] += 1
+        try:
+            return gap(a, b, only_a, only_b)
+        finally:
+            depth[0] -= 1
+
+    def counted_contains(self, vec):
+        seen["scans"] += depth[0] > 0
+        return contains(self, vec)
 
     monkeypatch.setattr(splitter, "direct_sum", counted_direct_sum)
     monkeypatch.setattr(splitter, "glue_comaximal", counted_glue)
-    monkeypatch.setattr(splitter, "_missing_from", no_scan)
+    monkeypatch.setattr(splitter, "_gap", counted_gap)
+    monkeypatch.setattr(Subgroup, "contains", counted_contains)
     insts = [diamond_instance()[0], stem_instance()[0], boolean_instance(3)]
     for inst in insts:
         build_ideal_splitting(inst, validate=False)
-    # one glue each in the diamond and the stem, four in 2^3
+    # one glue each in the diamond and the stem, four in 2^3, and two
+    # Gamma comparisons per glue
     assert len(glues) == 6
+    assert seen["comparisons"] == 12 and seen["scans"] == 0
     for groups, calls in glues:
         assert sum(c == groups for c in calls) == 1
 
