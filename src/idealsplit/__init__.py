@@ -26,9 +26,9 @@ from .fgab import (FgGroup, GroupHom, Subgroup, direct_sum, image,
 from .fileformat import (dumps_canonical, instance_from_json,
                          instance_to_json, load_file, save_file,
                          splitting_from_json, splitting_to_json)
-from .fixtures import (DEFECT_KINDS, GenBounds, direct_sum_instance,
-                       dp_truncation, plant_defect, random_instance,
-                       transported_instance, twist_instance)
+from .fixtures import (DEFECT_KINDS, direct_sum_instance, dp_truncation,
+                       plant_defect, random_instance, transported_instance,
+                       twist_instance)
 from .kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
                       KunnethInstance, ValidationReport, check_coherence,
                       check_family_coherence, validate_instance)
@@ -44,9 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatchError", "CoeffGroup", "CoherentFamily",
     "ComplexIso", "DEFECT_KINDS", "DefectNotApplicableError", "FgGroup",
-    "GenBounds", "GluingError", "GroupHom", "HomDefinitionError",
-    "IdealLattice", "IdealNode", "IdealSplitError",
-    "InstanceValidationError", "KData", "KunnethInstance", "LatticeError",
+    "GluingError", "GroupHom", "HomDefinitionError", "IdealLattice",
+    "IdealNode", "IdealSplitError", "InstanceValidationError", "KData", "KunnethInstance", "LatticeError",
     "LiftHypothesisError", "MissingMapError", "MissingSigmaError",
     "NotASplittingError", "NotComaximalError", "NotExactError",
     "NotHereditaryError", "NotSubgroupError", "SchemaError",

@@ -20,8 +20,8 @@ from .errors import (IdealSplitError, SchemaError, SizeBoundError,
 from .fileformat import (dumps_canonical, instance_from_json,
                          instance_to_json, iso_input_from_json, iso_to_json,
                          load_file, save_file, splitting_to_json)
-from .fixtures import (DEFECT_KINDS, GenBounds, dp_truncation, plant_defect,
-                       random_instance)
+from .fixtures import (COEFFICIENTS, DEFECT_KINDS, dp_truncation,
+                       plant_defect, random_instance)
 from .kunneth import (CheckResult, check_coherence, check_family_coherence,
                       validate_instance)
 from .splitter import (build_ideal_splitting, check_gamma_exact,
@@ -144,11 +144,9 @@ def _parse_coeffs(text):
 
 
 def cmd_gen(args):
-    bounds = GenBounds()
-    if args.coeffs:
-        bounds = bounds._replace(coefficients=_parse_coeffs(args.coeffs))
+    coeffs = _parse_coeffs(args.coeffs) if args.coeffs else COEFFICIENTS
     if args.gen_kind in ("aligned", "twisted"):
-        inst = random_instance(args.seed, bounds,
+        inst = random_instance(args.seed, coeffs,
                                twist=args.gen_kind == "twisted")
     elif args.gen_kind == "dp":
         if args.p is None or args.m is None or args.k is None:
@@ -160,7 +158,7 @@ def cmd_gen(args):
         if args.base:
             base, _ = _load_instance(args.base)
         else:
-            base = random_instance(args.seed, bounds, twist=False)
+            base = random_instance(args.seed, coeffs, twist=False)
         inst = plant_defect(base, args.kind)
     _write_doc(instance_to_json(inst), args)
     return EXIT_OK

@@ -8,7 +8,9 @@ tuple comparison and keeps homomorphisms plain integer matrices.
 
 All arithmetic is exact and done in ``intmat``: subgroups are read off
 Hermite forms, abstract groups off Smith forms, and elements and homs
-(``hom_preimage``, ``solve_hom``) come from the congruence solver.
+(``hom_preimage``, ``solve_hom``) come from the congruence solver.  A
+map is built only where a caller applies it: purity compares the
+invariant factors of groups alone.
 """
 
 import itertools
@@ -57,9 +59,6 @@ class FgGroup:
     def orders(self):
         """Per-coordinate orders, 0 marking an infinite (free) coordinate."""
         return self.invariant_factors + (0,) * self.free_rank
-
-    def is_trivial(self):
-        return self.rank == 0
 
     def is_torsion_free(self):
         return not self.invariant_factors
@@ -136,17 +135,13 @@ class FgGroup:
         return "FgGroup(%s)" % " + ".join(parts)
 
 
-def _presentation(rel, gens=None):
+def _presentation(rel, gens):
     """Cokernel data for a relation matrix (rows are relations).
 
     Returns ``(group, proj, lift)`` where ``proj`` (group.rank x gens)
     sends generator-exponent vectors to group coordinates, ``lift``
     (gens x group.rank) is an integer section with proj @ lift = I.
     """
-    if rel:
-        gens = len(rel[0])
-    elif gens is None:
-        raise ValueError("empty relation matrix needs an explicit generator count")
     mat = intmat.transpose(rel, gens)
     d, u, uinv, _, _ = intmat.smith_form(mat, cols=len(rel))
     diag = intmat.smith_diagonal(d) + [0] * gens
@@ -415,14 +410,6 @@ class Subgroup:
 
         return group, incl, project
 
-    def size(self):
-        return self.as_group()[0].size()
-
-    def elements(self):
-        """Members in the deterministic order induced by as_group()."""
-        group, incl, _ = self.as_group()
-        return (incl(x) for x in group.elements())
-
     def is_pure(self):
         """Purity by comparing invariant factors.
 
@@ -430,11 +417,11 @@ class Subgroup:
         summand, and by Miyata (J. Math. Kyoto Univ. 7, 1967) that holds
         iff G is isomorphic to H + G/H, which canonical forms compare.
         """
-        sub, quo = self.as_group()[0], quotient(self.ambient, self)[0]
-        return direct_sum([sub, quo])[0] == self.ambient
+        quo = _presentation(self.generators, gens=self.ambient.rank)[0]
+        return _sum_presentation([self.as_group()[0], quo])[0] == self.ambient
 
 
-# --- kernels, images, quotients ----------------------------------------
+# --- kernels, images, preimages ----------------------------------------
 
 def _zassenhaus(pairs, extra, left, right):
     """Right halves of the Hermite rows whose left half is zero.
@@ -480,14 +467,6 @@ def preimage_subgroup(f, sub):
     pairs = zip(intmat.transpose(f.matrix, f.domain.rank), f.domain.gens())
     return Subgroup(f.domain, _zassenhaus(
         pairs, sub.generators, f.codomain.rank, f.domain.rank))
-
-
-def quotient(group, sub):
-    """Quotient by a subgroup: ``(Q, projection)`` with kernel(projection) = sub."""
-    if sub.ambient != group:
-        raise AmbientMismatchError("subgroup of a different group")
-    q, proj, _ = _presentation(sub.generators, gens=group.rank)
-    return q, GroupHom(group, q, proj)
 
 
 # --- the coefficient functors ------------------------------------------
@@ -570,14 +549,9 @@ def induced_torsion_hom(f, n):
     return GroupHom.from_images(ta, tb, cols)
 
 
-def direct_sum(groups):
-    """Direct sum with tracked injections and projections.
-
-    Returns ``(G, injections, projections)`` with
-    ``proj[k] @ inj[j] = delta_kj`` and ``sum inj[k] @ proj[k] = id``.
-    The summands are renormalized into one invariant-factor form.
-    """
-    groups = list(groups)
+def _sum_presentation(groups):
+    """``_presentation`` of the block-diagonal relations of the groups:
+    their direct sum, on the concatenated coordinates."""
     total = sum(g.rank for g in groups)
     rel = []
     offset = 0
@@ -587,7 +561,18 @@ def direct_sum(groups):
                 rel.append([d if j == offset + i else 0
                             for j in range(total)])
         offset += g.rank
-    summed, proj, lift = _presentation(rel, gens=total)
+    return _presentation(rel, gens=total)
+
+
+def direct_sum(groups):
+    """Direct sum with tracked injections and projections.
+
+    Returns ``(G, injections, projections)`` with
+    ``proj[k] @ inj[j] = delta_kj`` and ``sum inj[k] @ proj[k] = id``.
+    The summands are renormalized into one invariant-factor form.
+    """
+    groups = list(groups)
+    summed, proj, lift = _sum_presentation(groups)
     injections = []
     projections = []
     offset = 0

@@ -23,10 +23,13 @@ from .splitter import ComplexIso, SplittingFamily
 SCHEMA_VERSION = "1"
 
 # Largest group rank (invariant factors plus free rank) a document may
-# declare.  Maps are dense matrices over these ranks, so a larger rank
-# would stall parsing rather than fail; every instance the fixtures
-# generate stays far below it.
+# declare, and most vectors one subgroup record may list: maps are dense
+# over these ranks and a Hermite form runs over every vector, so more
+# would stall parsing rather than fail.  The fixtures stay far below.
 MAX_RANK = 1024
+# Most ideals a lattice may have: closing the order into tables grows as
+# N^3 in the node count.
+MAX_IDEALS = 256
 
 
 @contextmanager
@@ -148,6 +151,9 @@ def _vectors_from_json(obj, ambient, where):
 
 
 def _subgroup_from_json(obj, ambient, where):
+    if isinstance(obj, list) and len(obj) > MAX_RANK:
+        raise SchemaError("%s: %d vectors exceed the limit %d"
+                          % (where, len(obj), MAX_RANK))
     with _schema(where):
         return Subgroup(ambient, _vectors_from_json(obj, ambient, where))
 
@@ -206,8 +212,11 @@ def instance_from_json(doc):
         coeff = CoeffGroup(n, Kn, rho, beta)
 
     _check_keys(doc["lattice"], where + ".lattice", ("nodes", "edges"))
-    ids = [_str(x, where + ".lattice.nodes")
-           for x in _list(doc["lattice"]["nodes"], where + ".lattice.nodes")]
+    listed = _list(doc["lattice"]["nodes"], where + ".lattice.nodes")
+    if len(listed) > MAX_IDEALS:
+        raise SchemaError("%s.lattice.nodes: %d nodes exceed the limit %d"
+                          % (where, len(listed), MAX_IDEALS))
+    ids = [_str(x, where + ".lattice.nodes") for x in listed]
     edges = []
     for i, e in enumerate(_list(doc["lattice"]["edges"],
                                 where + ".lattice.edges")):

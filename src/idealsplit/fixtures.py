@@ -39,11 +39,12 @@ class SumModel(NamedTuple):
     p2: GroupHom
 
 
-class GenBounds(NamedTuple):
-    max_ideals: int = 6
-    max_order: int = 4096
-    coefficients: tuple = (2, 3, 4, 6, 8, 9, 12)
-    max_rank: int = 3
+# random_instance's bounds on ideals, |Kn| and K0's free rank, and the
+# coefficients n is drawn from unless the caller passes its own.
+MAX_IDEALS = 6
+MAX_ORDER = 4096
+MAX_K0_RANK = 3
+COEFFICIENTS = (2, 3, 4, 6, 8, 9, 12)
 
 
 def sum_model(K0, K1, n):
@@ -305,20 +306,20 @@ def _kn_size(K0, K1, n):
     return size
 
 
-def _random_spec(rng, K0, K1, max_ideals):
+def _random_spec(rng, K0, K1):
     idx0 = list(range(K0.rank))
     idx1 = list(range(K1.rank))
     total = len(idx0) + len(idx1)
     shapes = ["chain"]
-    if total >= 2 and max_ideals >= 4:
+    if total >= 2:
         shapes.append("diamond")
-    if total >= 3 and max_ideals >= 5:
+    if total >= 3:
         shapes.append("stem")
     shape = rng.choice(shapes)
     pool = [("0", i) for i in idx0] + [("1", i) for i in idx1]
     rng.shuffle(pool)
     if shape == "chain":
-        steps = rng.randint(0, min(2, max_ideals - 2, len(pool)))
+        steps = rng.randint(0, min(2, len(pool)))
         spec = {}
         taken0, taken1 = set(), set()
         cut = 0
@@ -346,25 +347,26 @@ def _random_spec(rng, K0, K1, max_ideals):
     return spec
 
 
-def random_instance(seed, bounds=GenBounds(), twist=True):
+def random_instance(seed, coefficients=COEFFICIENTS, twist=True):
     """Seeded valid instance: aligned skeleton plus a random twist.
 
-    ``twist=False`` keeps the instance on its coordinate axes, which is
-    what the aligned corpus and the defect mutators start from.
+    n is drawn from ``coefficients``.  ``twist=False`` keeps the
+    instance on its coordinate axes, which is what the aligned corpus
+    and the defect mutators start from.
     """
     rng = random.Random(seed)
     for _ in range(64):
-        n = rng.choice(list(bounds.coefficients))
-        K0 = FgGroup((), rng.randint(0, bounds.max_rank))
+        n = rng.choice(list(coefficients))
+        K0 = FgGroup((), rng.randint(0, MAX_K0_RANK))
         K1 = FgGroup(rng.choice(_TORSION_MENU), rng.randint(0, 1))
-        if _kn_size(K0, K1, n) > bounds.max_order:
+        if _kn_size(K0, K1, n) > MAX_ORDER:
             continue
-        spec = _random_spec(rng, K0, K1, bounds.max_ideals)
+        spec = _random_spec(rng, K0, K1)
         try:
             inst = direct_sum_instance(K0, K1, n, spec)
         except LatticeError:
             continue
-        if len(inst.order.nodes) > bounds.max_ideals:
+        if len(inst.order.nodes) > MAX_IDEALS:
             continue
         if twist:
             T, _ = inst.tensor()

@@ -8,10 +8,10 @@ coefficient group Kn sitting in the row
 and one subgroup triple per ideal id.  Constructors enforce only
 structural well-formedness (ranks, ambients, lattice node set); every
 semantic hypothesis is a named check in :func:`validate_instance`, which
-never raises and reports a witness for each failure.  A check returns
-its witness text, or None when it passes, and :func:`check_runner`
-records it; every subgroup comparison is worded by :func:`_gap`.  The
-fixed check order makes reports byte-stable for identical inputs.
+reports a witness for each failure.  A check returns its witness text,
+or None when it passes, and :func:`check_runner` records it; every
+subgroup comparison is worded by :func:`_gap`.  The fixed check order
+makes reports byte-stable for identical inputs.
 
 Multi-coefficient data lives in :class:`CoherentFamily`, whose kappa
 maps are checked against the three exact scalar relations
@@ -27,8 +27,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import (AmbientMismatchError, HomDefinitionError, LatticeError,
-                     MissingMapError, MissingSigmaError)
+from .errors import (AmbientMismatchError, HomDefinitionError,
+                     IdealSplitError, LatticeError, MissingMapError,
+                     MissingSigmaError)
 from .fgab import (FgGroup, GroupHom, Subgroup, image, image_subgroup, kernel,
                    n_torsion_group, preimage_subgroup, tensor_zmod)
 from .lattice import IdealLattice
@@ -312,14 +313,14 @@ def check_runner(results):
     """A ``run(name, fn)`` that appends fn's verdict to ``results``.
 
     ``fn()`` returns the failure witness, a non-empty str, or None when
-    the check passes.  A check that cannot even be evaluated fails with
-    the exception text as its witness, so building a report never
-    raises.
+    the check passes.  A check that cannot even be evaluated on the
+    data (an ``IdealSplitError``) fails with the exception text as its
+    witness; any other exception is a bug in the check and propagates.
     """
     def run(name, fn):
         try:
             witness = fn()
-        except Exception as exc:  # report, never propagate
+        except IdealSplitError as exc:
             witness = "%s: %s" % (type(exc).__name__, exc)
         results.append(CheckResult(name, witness is None, witness))
     return run
@@ -355,9 +356,9 @@ def _components(*nodes):
 def validate_instance(inst):
     """Run every structural-hypothesis check, in a fixed order.
 
-    Never raises on semantic problems: a check that cannot even be
-    evaluated (for example a map with the wrong domain) fails with the
-    exception text as its witness.
+    A check that cannot be evaluated on the data (an IdealSplitError,
+    for example a map with the wrong domain) fails with the exception
+    text as its witness; any other exception is a bug and propagates.
     """
     results = []
     run = check_runner(results)

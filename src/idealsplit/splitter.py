@@ -10,8 +10,9 @@ extension path; it is complete, so None means no extension exists), and
 an ideal with several maximal subideals is glued from them along the
 Gamma complex, with the well-definedness of the glue verified rather
 than assumed.  Each glue builds its Gamma complex once:
-check_gamma_exact constructs and certifies it, and glue_comaximal
-reuses its Gamma0, projections and pair restriction maps.
+check_gamma_exact constructs and certifies it (Gamma1 only as its
+image), and glue_comaximal reuses its Gamma0, projections and pair
+restriction maps.
 exhaustive_ideal_splittings is the independent brute-force
 cross-check of the builder: it filters the sections that
 enumerate_splittings finds for the top row by exhaustion.
@@ -31,9 +32,10 @@ from .errors import (AmbientMismatchError, GluingError,
                      NotASplittingError, NotComaximalError, NotExactError,
                      NotSubgroupError, SizeBoundError,
                      SplittingObstructionError)
-from .fgab import (GroupHom, direct_sum, hom_preimage, image,
+from .fgab import (GroupHom, Subgroup, direct_sum, hom_preimage, image,
                    image_subgroup, induced_tensor_hom, induced_torsion_hom,
                    solve_hom)
+from .intmat import transpose
 from .kunneth import (ValidationReport, _gap, check_runner,
                       validate_instance)
 
@@ -101,9 +103,13 @@ class GammaComplex(NamedTuple):
 
 
 class GammaResult(NamedTuple):
-    ok: bool
+    """A Gamma check's witness, or None and the certified complex."""
     witness: Optional[str]
     complex: Optional[GammaComplex] = None
+
+    @property
+    def ok(self):
+        return self.witness is None
 
 
 # --- the Gamma complex -----------------------------------------------------
@@ -157,8 +163,10 @@ def check_gamma_exact(inst, I, parts):
     Uses the instance's STORED data at the pairwise lattice meets, so a
     planted lattice-law defect surfaces here as a kernel witness rather
     than being silently repaired by recomputing true intersections.
-    The complex is built once; when it is exact the result carries it
-    (a GammaComplex) for glue_comaximal to reuse.
+    Gamma1 is never built: its image is spanned by the columns of the
+    pair maps ``inj_i . into_i - inj_j . into_j``.  The complex is built
+    once; when it is exact the result carries it (a GammaComplex) for
+    glue_comaximal to reuse.
     """
     parts = list(parts)
     if not inst.order.is_comaximal_family(I, parts):
@@ -172,38 +180,33 @@ def check_gamma_exact(inst, I, parts):
         for j in range(i + 1, len(parts)):
             mid = inst.order.meet(parts[i], parts[j])
             if mid is None:
-                return GammaResult(False, "no lattice meet of %s and %s"
+                return GammaResult("no lattice meet of %s and %s"
                                    % (parts[i], parts[j]))
             mids[(i, j)] = mid
-    restrictions, pair_groups, maps = {}, [], []
+    restrictions, g1_cols = {}, []
     try:
         for (i, j), mid in mids.items():
-            mg, mincl, _ = inst.torsion_sub(mid).as_group()
-            into_i = _coords_hom(mg, mincl, subs[i].as_group())
-            into_j = _coords_hom(mg, mincl, subs[j].as_group())
+            into_i = restriction_hom(inst, mid, parts[i])
+            into_j = restriction_hom(inst, mid, parts[j])
             restrictions[(i, j)] = (mid, into_i, into_j)
-            pair_groups.append(mg)
             # place at slot i, minus the same element at slot j
-            maps.append((inj[i] @ into_i) - (inj[j] @ into_j))
-        d1, _, pproj = direct_sum(pair_groups)
-        g1 = GroupHom.zero(d1, g0.domain)
-        for f, pr in zip(maps, pproj):
-            g1 = g1 + (f @ pr)
+            pair = (inj[i] @ into_i) - (inj[j] @ into_j)
+            g1_cols += transpose(pair.matrix, pair.domain.rank)
     except (NotSubgroupError, HomDefinitionError) as exc:
-        return GammaResult(False, "meet data does not embed in the parts: %s"
+        return GammaResult("meet data does not embed in the parts: %s"
                            % (exc,))
     gap = _gap(target, image(g0),
                lambda v: "Gamma0 misses %r of K1(%s)[n]" % (v, I),
                lambda v: "Gamma0 image escapes K1(%s)[n] at %r" % (I, v))
     if gap is None:
-        gap = _gap(g0.kernel(), image(g1),
+        gap = _gap(g0.kernel(), Subgroup(g0.domain, g1_cols),
                    lambda v: "%r lies in ker Gamma0 but not in im Gamma1"
                    % (v,),
                    lambda v: "%r lies in im Gamma1 but not in ker Gamma0"
                    % (v,))
     if gap is not None:
-        return GammaResult(False, gap)
-    return GammaResult(True, None, GammaComplex(g0, proj, restrictions))
+        return GammaResult(gap)
+    return GammaResult(None, GammaComplex(g0, proj, restrictions))
 
 
 # --- splittings ------------------------------------------------------------

@@ -21,7 +21,8 @@ another way:
   the one Gamma0 it certifies;
 * ``solver_kernel`` takes a kernel as the homogeneous solution lattice
   of ``intmat.solve_congruences``, ``quotient_preimage`` a preimage as
-  that kernel after the projection onto the quotient by the subgroup,
+  that kernel after the projection ``quotient`` onto the quotient by
+  the subgroup,
   and ``pointwise_image`` an image by applying the hom to one reduced
   generator at a time, where ``fgab`` reads all three off Hermite
   forms;
@@ -31,7 +32,8 @@ another way:
 """
 
 from idealsplit import fgab, intmat, kunneth, splitter
-from idealsplit.errors import NotSubgroupError, SizeBoundError
+from idealsplit.errors import (AmbientMismatchError, NotSubgroupError,
+                               SizeBoundError)
 
 
 def _back_substitute(h, pivots, rhs):
@@ -122,7 +124,7 @@ def retraction_pure(sub):
     generated group is pure iff it is a direct summand, iff a
     retraction onto it exists, which is one linear solve."""
     group, incl, _ = column_coordinates_group(sub)
-    if group.is_trivial():
+    if group.rank == 0:
         return True
     points = [(incl(e), e) for e in group.gens()]
     return fgab.solve_hom(sub.ambient, group,
@@ -207,10 +209,19 @@ def solver_kernel(f):
     return fgab.Subgroup(f.domain, res[1])
 
 
+def quotient(group, sub):
+    """Quotient by a subgroup: ``(Q, projection)`` with
+    kernel(projection) = sub, read off the Smith form of sub's basis."""
+    if sub.ambient != group:
+        raise AmbientMismatchError("subgroup of a different group")
+    q, proj, _ = fgab._presentation(sub.generators, gens=group.rank)
+    return q, fgab.GroupHom(group, q, proj)
+
+
 def quotient_preimage(f, sub):
     """``fgab.preimage_subgroup`` as the kernel of f followed by the
     Smith-form projection onto the codomain modulo ``sub``."""
-    _, proj = fgab.quotient(f.codomain, sub)
+    _, proj = quotient(f.codomain, sub)
     return solver_kernel(proj @ f)
 
 

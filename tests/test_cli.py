@@ -94,6 +94,26 @@ def test_validate_oversized_group_exits_2(tmp_path, capsys):
         "error: instance.groups.K0: rank 1000000 exceeds the limit 1024"]
 
 
+def test_validate_oversized_lattice_and_subgroup_exit_2(tmp_path, capsys):
+    # too many ideals or too many vectors in one subgroup record are
+    # file errors, not a long lattice closure or Hermite form
+    many_nodes = instance_to_json(diamond24())
+    many_nodes["lattice"]["nodes"] += ["n%d" % i for i in range(253)]
+    many_vectors = instance_to_json(diamond24())
+    many_vectors["ideals"]["b"]["K0"] = [[0, 1]] * 1025
+    for doc, message in (
+            (many_nodes, "instance.lattice.nodes: 257 nodes exceed the "
+             "limit 256"),
+            (many_vectors, "instance.ideals.b.K0: 1025 vectors exceed the "
+             "limit 1024")):
+        path = tmp_path / "huge.json"
+        save_file(str(path), doc)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: " + message]
+
+
 def test_validate_includes_family_checks(tmp_path, capsys):
     fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
     inst = direct_sum_instance(Z, FgGroup((4,)), 2, {})

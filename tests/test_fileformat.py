@@ -6,7 +6,7 @@ import pytest
 
 from idealsplit import fileformat
 from idealsplit.errors import SchemaError
-from idealsplit.fgab import FgGroup, GroupHom
+from idealsplit.fgab import FgGroup, GroupHom, Subgroup
 from idealsplit.fileformat import (SCHEMA_VERSION, complex_iso_from_json,
                                    dumps_canonical, family_to_json,
                                    group_from_json, hom_from_json,
@@ -139,6 +139,53 @@ def test_oversized_group_record_is_rejected():
                            "g").rank == limit
     with pytest.raises(SchemaError, match="rank 1025 exceeds"):
         group_from_json({"invariant_factors": [2], "free_rank": limit}, "g")
+
+
+def test_oversized_lattice_is_rejected_before_it_is_closed(monkeypatch):
+    # more than fileformat.MAX_IDEALS nodes fail at their location
+    # before IdealLattice closes the order into tables
+    class Reached(Exception):
+        pass
+
+    def lattice(ids, edges):
+        raise Reached(len(ids))
+
+    monkeypatch.setattr(fileformat, "IdealLattice", lattice)
+    limit = fileformat.MAX_IDEALS
+    doc = json.loads(json.dumps(instance_to_json(diamond24())))
+    doc["lattice"] = {"nodes": ["n%d" % i for i in range(limit + 1)],
+                      "edges": []}
+    with pytest.raises(SchemaError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == ("instance.lattice.nodes: 257 nodes exceed "
+                              "the limit 256")
+    doc["lattice"]["nodes"].pop()
+    with pytest.raises(Reached):
+        instance_from_json(doc)
+
+
+def test_oversized_subgroup_record_is_rejected(monkeypatch):
+    # more than fileformat.MAX_RANK vectors in one subgroup record fail
+    # at the record before any Hermite form runs over them
+    sizes = []
+
+    def subgroup(ambient, gens):
+        sizes.append(len(gens))
+        return Subgroup(ambient, gens)
+
+    monkeypatch.setattr(fileformat, "Subgroup", subgroup)
+    limit = fileformat.MAX_RANK
+    doc = json.loads(json.dumps(instance_to_json(diamond24())))
+    doc["ideals"]["a"]["K1"] = [[0, 2]] * (limit + 1)
+    with pytest.raises(SchemaError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == ("instance.ideals.a.K1: 1025 vectors exceed "
+                              "the limit 1024")
+    assert max(sizes, default=0) < limit
+    doc["ideals"]["a"]["K1"].pop()
+    inst, _ = instance_from_json(doc)
+    assert limit in sizes
+    assert inst.node("a").K1_sub == Subgroup(K24, [[0, 2]])
 
 
 def test_lattice_and_ideals_cross_checked():

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from idealsplit import fixtures
 from idealsplit.errors import (DefectNotApplicableError,
                                InstanceValidationError, LatticeError)
 from idealsplit.fgab import FgGroup, GroupHom, Subgroup
-from idealsplit.fixtures import (DEFECT_KINDS, GenBounds,
-                                 coordinate_subgroup, direct_sum_instance,
+from idealsplit.fixtures import (DEFECT_KINDS, coordinate_subgroup, direct_sum_instance,
                                  dp_truncation, plant_defect,
                                  random_automorphism, random_hom,
                                  random_instance, sum_model,
@@ -232,13 +232,15 @@ def test_random_instance_deterministic():
 
 
 def test_random_instances_are_valid_and_bounded():
-    bounds = GenBounds()
     for seed in range(20):
-        inst = random_instance(seed, bounds)
-        assert len(inst.order.nodes) <= bounds.max_ideals
-        assert inst.coeff.Kn.size() <= bounds.max_order
-        assert inst.coeff.n in bounds.coefficients
+        inst = random_instance(seed)
+        assert len(inst.order.nodes) <= fixtures.MAX_IDEALS
+        assert inst.coeff.Kn.size() <= fixtures.MAX_ORDER
+        assert inst.data.K0.rank <= fixtures.MAX_K0_RANK
+        assert inst.coeff.n in fixtures.COEFFICIENTS
         assert validate_instance(inst).ok
+    inst = random_instance(7, coefficients=(5,))
+    assert inst.coeff.n == 5 and validate_instance(inst).ok
 
 
 def test_random_instances_split():

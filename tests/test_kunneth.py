@@ -374,6 +374,25 @@ def test_constructor_rejects_structural_breakage():
         inst.with_added_node(nodes[0], below=[], above=[])
 
 
+def test_a_bug_in_a_check_propagates(monkeypatch):
+    # a library error inside a check is its witness; any other exception
+    # is a bug in the check, not a failed hypothesis, and propagates
+    inst, _ = diamond_instance()
+
+    def raising(exc):
+        def is_pure(self):
+            raise exc
+        return is_pure
+
+    monkeypatch.setattr(Subgroup, "is_pure",
+                        raising(MissingMapError("no map")))
+    report = validate_instance(inst)
+    assert report.find("purity:K0:bot").witness == "MissingMapError: no map"
+    monkeypatch.setattr(Subgroup, "is_pure", raising(TypeError("boom")))
+    with pytest.raises(TypeError, match="boom"):
+        validate_instance(inst)
+
+
 def test_report_helpers():
     inst, _ = diamond_instance()
     report = validate_instance(inst)
