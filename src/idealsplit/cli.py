@@ -151,7 +151,11 @@ def cmd_gen(args):
     elif args.gen_kind == "dp":
         if args.p is None or args.m is None or args.k is None:
             raise SchemaError("gen dp needs --p, --m and --k")
-        inst = dp_truncation(args.p, args.m, args.k)
+        try:
+            inst = dp_truncation(args.p, args.m, args.k)
+        except ValueError as exc:
+            # a --p, --m or --k that dp_truncation's checks reject
+            raise SchemaError(str(exc))
     else:
         if args.kind is None:
             raise SchemaError("gen defect needs --kind")
@@ -275,7 +279,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SchemaError, OSError, ValueError) as exc:
+    except (SchemaError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except IdealSplitError as exc:

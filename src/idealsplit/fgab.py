@@ -10,7 +10,8 @@ All arithmetic is exact and done in ``intmat``: subgroups are read off
 Hermite forms, abstract groups off Smith forms, and elements and homs
 (``hom_preimage``, ``solve_hom``) come from the congruence solver.  A
 map is built only where a caller applies it: purity compares the
-invariant factors of groups alone.
+invariant factors of groups alone.  Kernels and images are the module
+functions ``kernel(f)`` and ``image(f)``.
 """
 
 import itertools
@@ -143,7 +144,7 @@ def _presentation(rel, gens):
     (gens x group.rank) is an integer section with proj @ lift = I.
     """
     mat = intmat.transpose(rel, gens)
-    d, u, uinv, _, _ = intmat.smith_form(mat, cols=len(rel))
+    d, u, uinv = intmat.smith_form(mat, cols=len(rel))
     diag = intmat.smith_diagonal(d) + [0] * gens
     kept = [i for i in range(gens) if diag[i] != 1]
     factors = tuple(diag[i] for i in kept if diag[i] > 1)
@@ -255,12 +256,6 @@ class GroupHom:
     def __repr__(self):
         return "GroupHom(%r -> %r, %r)" % (self.domain, self.codomain,
                                            [list(r) for r in self.matrix])
-
-    def image(self):
-        return image(self)
-
-    def kernel(self):
-        return kernel(self)
 
     def is_injective(self):
         return kernel(self).is_zero()

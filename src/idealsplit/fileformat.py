@@ -27,18 +27,22 @@ SCHEMA_VERSION = "1"
 # over these ranks and a Hermite form runs over every vector, so more
 # would stall parsing rather than fail.  The fixtures stay far below.
 MAX_RANK = 1024
-# Most ideals a lattice may have: closing the order into tables grows as
-# N^3 in the node count.
+# Most ideals a lattice may have: the order's tables hold N^2 meets and
+# joins, each found by intersecting two sets of up to N nodes, so
+# closing the order grows as N^3 in the node count.
 MAX_IDEALS = 256
 
 
 @contextmanager
 def _schema(where):
     """Turn a library error raised while building an object from a
-    document into a SchemaError located at ``where``."""
+    document into a SchemaError located at ``where``.  A SchemaError
+    already carries its own location and passes through unchanged."""
     try:
         yield
-    except (IdealSplitError, ValueError, TypeError) as exc:
+    except SchemaError:
+        raise
+    except (IdealSplitError, ValueError) as exc:
         raise SchemaError("%s: %s" % (where, exc))
 
 
@@ -422,6 +426,9 @@ def loads(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("not valid JSON: %s" % exc)
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise SchemaError(str(exc))
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     return doc
@@ -429,7 +436,11 @@ def loads(text):
 
 def load_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(str(exc))
+    return loads(text)
 
 
 def save_file(path, doc):

@@ -8,8 +8,9 @@ functions accept an explicit ``cols`` argument for that case.
 
 Conventions used throughout the package:
 
-* ``smith_form`` returns ``(d, u, uinv, v, vinv)`` with ``u @ mat @ v``
-  diagonal, the diagonal nonnegative, each entry dividing the next.
+* ``smith_form`` returns ``(d, u, uinv)`` with ``d = u @ mat @ v``
+  diagonal for some unimodular ``v`` that is not kept, the diagonal
+  nonnegative, each entry dividing the next.
 * ``hnf_rows`` returns the canonical row Hermite form: positive pivots,
   entries above a pivot reduced into ``[0, pivot)``, zero rows at the
   bottom.  Two row sets span the same lattice iff their canonical forms
@@ -152,25 +153,26 @@ def hnf_nonzero(rows, cols=None):
 
 
 def smith_form(mat, cols=None):
-    """Smith normal form with all four transformations tracked.
+    """Smith normal form with the row transformation and its inverse.
 
-    Returns ``(d, u, uinv, v, vinv)`` where ``u @ mat @ v = d`` is
-    diagonal with nonnegative entries, each dividing the next, and
-    ``uinv``/``vinv`` are the exact inverses of ``u``/``v``.
+    Returns ``(d, u, uinv)`` where ``d = u @ mat @ v`` for some
+    unimodular ``v`` is diagonal with nonnegative entries, each dividing
+    the next, and ``uinv`` is the exact inverse of ``u``.  No caller
+    reads ``v``, so column operations are applied to ``d`` alone; ``u @
+    mat`` and ``d`` span the same column lattice.
 
     Pivot choice is pinned for determinism: the nonzero entry of least
     absolute value, ties broken by lowest ``(row, col)``.
 
-    >>> d, u, uinv, v, vinv = smith_form([[2, 4], [6, 8]])
+    >>> d, u, uinv = smith_form([[2, 4], [6, 8]])
     >>> [d[0][0], d[1][1]]
     [2, 4]
-    >>> matmul(matmul(u, [[2, 4], [6, 8]]), v) == d
+    >>> matmul(u, uinv) == identity(2)
     True
     """
     r, c = shape(mat, cols)
     d = clone(mat)
     u, uinv = identity(r), identity(r)
-    v, vinv = identity(c), identity(c)
 
     def row_swap(i, k):
         d[i], d[k] = d[k], d[i]
@@ -197,18 +199,10 @@ def smith_form(mat, cols=None):
     def col_swap(j, l):
         for row in d:
             row[j], row[l] = row[l], row[j]
-        for row in v:
-            row[j], row[l] = row[l], row[j]
-        vinv[j], vinv[l] = vinv[l], vinv[j]
 
     def col_sub(j, l, q):
         for row in d:
             row[j] -= q * row[l]
-        for row in v:
-            row[j] -= q * row[l]
-        vl, vj = vinv[l], vinv[j]
-        for t in range(c):
-            vl[t] += q * vj[t]
 
     def find_pivot(t):
         bi = bj = -1
@@ -262,7 +256,7 @@ def smith_form(mat, cols=None):
                 break
             row_sub(t, bad, -1)
         t += 1
-    return d, u, uinv, v, vinv
+    return d, u, uinv
 
 
 def smith_diagonal(d):

@@ -8,10 +8,13 @@ coefficient group Kn sitting in the row
 and one subgroup triple per ideal id.  Constructors enforce only
 structural well-formedness (ranks, ambients, lattice node set); every
 semantic hypothesis is a named check in :func:`validate_instance`, which
-reports a witness for each failure.  A check returns its witness text,
-or None when it passes, and :func:`check_runner` records it; every
-subgroup comparison is worded by :func:`_gap`.  The fixed check order
-makes reports byte-stable for identical inputs.
+reports a witness for each failure.  The records KData, CoeffGroup,
+IdealNode and ValidationReport are frozen dataclasses that type-check
+their fields in ``__post_init__``; the first three compare by value, a
+report by identity.  A check returns its witness text, or None when it
+passes, and :func:`check_runner` records it; every subgroup comparison
+is worded by :func:`_gap`.  The fixed check order makes reports
+byte-stable for identical inputs.
 
 Multi-coefficient data lives in :class:`CoherentFamily`, whose kappa
 maps are checked against the three exact scalar relations
@@ -23,6 +26,7 @@ maps are checked against the three exact scalar relations
 where kappa_{m,n} maps Kn to Km and (a,b) is the gcd.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
@@ -35,35 +39,27 @@ from .fgab import (FgGroup, GroupHom, Subgroup, image, image_subgroup, kernel,
 from .lattice import IdealLattice
 
 
+@dataclass(frozen=True, slots=True)
 class KData:
     """Ambient K0 and K1."""
 
-    __slots__ = ("K0", "K1")
+    K0: FgGroup
+    K1: FgGroup
 
-    def __init__(self, K0, K1):
-        if not isinstance(K0, FgGroup) or not isinstance(K1, FgGroup):
+    def __post_init__(self):
+        if not isinstance(self.K0, FgGroup) \
+                or not isinstance(self.K1, FgGroup):
             raise TypeError("KData fields must be FgGroup instances")
-        object.__setattr__(self, "K0", K0)
-        object.__setattr__(self, "K1", K1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KData is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, KData) and self.K0 == other.K0
-                and self.K1 == other.K1)
-
-    def __hash__(self):
-        return hash((self.K0, self.K1))
-
-    def __repr__(self):
-        return "KData(%r, %r)" % (self.K0, self.K1)
 
 
+@dataclass(frozen=True, slots=True)
 class CoeffGroup:
     """Coefficient group Kn with the two maps of its row."""
 
-    __slots__ = ("n", "Kn", "rho_tilde", "beta_tilde")
+    n: int
+    Kn: FgGroup
+    rho_tilde: GroupHom
+    beta_tilde: GroupHom
 
     @staticmethod
     def coefficient(n):
@@ -72,64 +68,30 @@ class CoeffGroup:
             raise ValueError("coefficient must be an integer >= 2")
         return int(n)
 
-    def __init__(self, n, Kn, rho_tilde, beta_tilde):
-        n = CoeffGroup.coefficient(n)
-        if not isinstance(Kn, FgGroup):
+    def __post_init__(self):
+        object.__setattr__(self, "n", CoeffGroup.coefficient(self.n))
+        if not isinstance(self.Kn, FgGroup):
             raise TypeError("Kn must be an FgGroup")
-        if not isinstance(rho_tilde, GroupHom) \
-                or not isinstance(beta_tilde, GroupHom):
+        if not isinstance(self.rho_tilde, GroupHom) \
+                or not isinstance(self.beta_tilde, GroupHom):
             raise TypeError("rho_tilde and beta_tilde must be GroupHoms")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "Kn", Kn)
-        object.__setattr__(self, "rho_tilde", rho_tilde)
-        object.__setattr__(self, "beta_tilde", beta_tilde)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoeffGroup is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, CoeffGroup) and self.n == other.n
-                and self.Kn == other.Kn
-                and self.rho_tilde == other.rho_tilde
-                and self.beta_tilde == other.beta_tilde)
-
-    def __hash__(self):
-        return hash((self.n, self.Kn, self.rho_tilde, self.beta_tilde))
-
-    def __repr__(self):
-        return "CoeffGroup(n=%d, Kn=%r)" % (self.n, self.Kn)
 
 
+@dataclass(frozen=True, slots=True)
 class IdealNode:
     """One ideal id with its subgroup triple in the ambient groups."""
 
-    __slots__ = ("id", "K0_sub", "K1_sub", "Kn_sub")
+    id: str
+    K0_sub: Subgroup
+    K1_sub: Subgroup
+    Kn_sub: Subgroup
 
-    def __init__(self, id, K0_sub, K1_sub, Kn_sub):
-        if not isinstance(id, str):
+    def __post_init__(self):
+        if not isinstance(self.id, str):
             raise TypeError("ideal id must be a string")
-        for sub in (K0_sub, K1_sub, Kn_sub):
+        for sub in (self.K0_sub, self.K1_sub, self.Kn_sub):
             if not isinstance(sub, Subgroup):
                 raise TypeError("ideal data must be Subgroup instances")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "K0_sub", K0_sub)
-        object.__setattr__(self, "K1_sub", K1_sub)
-        object.__setattr__(self, "Kn_sub", Kn_sub)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdealNode is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealNode) and self.id == other.id
-                and self.K0_sub == other.K0_sub
-                and self.K1_sub == other.K1_sub
-                and self.Kn_sub == other.Kn_sub)
-
-    def __hash__(self):
-        return hash((self.id, self.K0_sub, self.K1_sub, self.Kn_sub))
-
-    def __repr__(self):
-        return "IdealNode(%r)" % (self.id,)
 
 
 class KunnethInstance:
@@ -266,16 +228,14 @@ class CheckResult(NamedTuple):
     witness: Optional[str]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ValidationReport:
-    """Ordered list of named check results."""
+    """Ordered tuple of named check results."""
 
-    __slots__ = ("results",)
+    results: tuple
 
-    def __init__(self, results):
-        object.__setattr__(self, "results", tuple(results))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ValidationReport is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "results", tuple(self.results))
 
     @property
     def ok(self):

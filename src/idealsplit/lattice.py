@@ -5,21 +5,13 @@ distributivity properties are queries, not constructor preconditions,
 because the validator needs to represent and diagnose broken inputs.
 The constructor closes the order once into tables (up- and down-sets,
 the meet and the join of every pair, the covering pairs, the bounds),
-so every query is a lookup.  All iteration is in lexicographic id
-order so every downstream artifact is reproducible.
+so every query is a lookup.  The meet of a and b is the node whose
+down-set is down(a) & down(b), if there is one, and the join is dual,
+so each table entry is itself one lookup.  All iteration is in
+lexicographic id order so every downstream artifact is reproducible.
 """
 
 from .errors import LatticeError, NotHereditaryError
-
-
-def _least(members, up):
-    """The element of the set ``members`` that lies below all of it in
-    the order whose up-sets are ``up``, or None.  Passing down-sets as
-    ``up`` gives the greatest element instead."""
-    for x in members:
-        if members <= up[x]:
-            return x
-    return None
 
 
 class IdealLattice:
@@ -75,17 +67,19 @@ class IdealLattice:
         lower = {a: [] for a in nodes}
         for a, b in covers:
             lower[b].append(a)
-        meet = {a: {b: _least(down[a] & down[b], down) for b in nodes}
+        by_down = {s: a for a, s in down.items()}
+        by_up = {s: a for a, s in up.items()}
+        meet = {a: {b: by_down.get(down[a] & down[b]) for b in nodes}
                 for a in nodes}
-        join = {a: {b: _least(up[a] & up[b], up) for b in nodes}
+        join = {a: {b: by_up.get(up[a] & up[b]) for b in nodes}
                 for a in nodes}
         everything = frozenset(nodes)
         for name, value in (
                 ("nodes", nodes), ("edges", edges), ("_up", up),
                 ("_down", down), ("_meet", meet), ("_join", join),
                 ("_covers", covers), ("_lower", lower),
-                ("_bottom", _least(everything, up)),
-                ("_top", _least(everything, down))):
+                ("_bottom", by_up.get(everything)),
+                ("_top", by_down.get(everything))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

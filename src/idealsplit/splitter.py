@@ -20,10 +20,13 @@ enumerate_splittings finds for the top row by exhaustion.
 Everything here is deterministic: solver solutions are canonical
 (lexicographically least), the glued section does not depend on which
 Gamma0-preimages are taken, and families built from equal inputs
-serialize identically.
+serialize identically.  The results are frozen dataclasses: a
+SplittingFamily compares and hashes by its sections, a ComplexIso by
+identity.
 """
 
 import itertools
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (AmbientMismatchError, GluingError,
@@ -34,22 +37,20 @@ from .errors import (AmbientMismatchError, GluingError,
                      SplittingObstructionError)
 from .fgab import (GroupHom, Subgroup, direct_sum, hom_preimage, image,
                    image_subgroup, induced_tensor_hom, induced_torsion_hom,
-                   solve_hom)
+                   kernel, solve_hom)
 from .intmat import transpose
 from .kunneth import (ValidationReport, _gap, check_runner,
                       validate_instance)
 
 
+@dataclass(frozen=True, slots=True)
 class SplittingFamily:
     """Per-ideal sections sigma_I : K1(I)[n] -> Kn, keyed by ideal id."""
 
-    __slots__ = ("sigmas",)
+    sigmas: dict
 
-    def __init__(self, sigmas):
-        object.__setattr__(self, "sigmas", dict(sigmas))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplittingFamily is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "sigmas", dict(self.sigmas))
 
     def ids(self):
         return sorted(self.sigmas)
@@ -59,10 +60,6 @@ class SplittingFamily:
             raise MissingSigmaError("no sigma for ideal %r" % (id,))
         return self.sigmas[id]
 
-    def __eq__(self, other):
-        return (isinstance(other, SplittingFamily)
-                and self.sigmas == other.sigmas)
-
     def __hash__(self):
         return hash(tuple(sorted(self.sigmas.items())))
 
@@ -70,19 +67,17 @@ class SplittingFamily:
         return "SplittingFamily(%s)" % ", ".join(self.ids())
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ComplexIso:
     """Invertible triple commuting with both rows, plus the ideal pairing."""
 
-    __slots__ = ("phi0", "phi", "phi1", "pairing")
+    phi0: GroupHom
+    phi: GroupHom
+    phi1: GroupHom
+    pairing: dict
 
-    def __init__(self, phi0, phi, phi1, pairing):
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi1", phi1)
-        object.__setattr__(self, "pairing", dict(pairing))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexIso is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "pairing", dict(self.pairing))
 
     def __repr__(self):
         return "ComplexIso(%d ideals)" % len(self.pairing)
@@ -199,7 +194,7 @@ def check_gamma_exact(inst, I, parts):
                lambda v: "Gamma0 misses %r of K1(%s)[n]" % (v, I),
                lambda v: "Gamma0 image escapes K1(%s)[n] at %r" % (I, v))
     if gap is None:
-        gap = _gap(g0.kernel(), Subgroup(g0.domain, g1_cols),
+        gap = _gap(kernel(g0), Subgroup(g0.domain, g1_cols),
                    lambda v: "%r lies in ker Gamma0 but not in im Gamma1"
                    % (v,),
                    lambda v: "%r lies in im Gamma1 but not in ker Gamma0"
@@ -420,7 +415,7 @@ def enumerate_splittings(left, right, bound=256):
         raise AmbientMismatchError("left and right maps do not meet")
     if not left.is_injective():
         raise NotExactError("sequence fails at the left term (injectivity)")
-    if right.kernel() != left.image():
+    if kernel(right) != image(left):
         raise NotExactError("sequence fails at the middle term")
     if not right.is_surjective():
         raise NotExactError(

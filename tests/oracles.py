@@ -28,7 +28,12 @@ another way:
   forms;
 * ``five_term_exact`` decides the paper's five-term sequence
   K0 -xn-> K0 -> Kn -> K1 -xn-> K1, where ``validate_instance`` checks
-  the short row 0 -> K0/nK0 -> Kn -> K1[n] -> 0 term by term.
+  the short row 0 -> K0/nK0 -> Kn -> K1[n] -> 0 term by term;
+* ``column_lattice`` stands in for the column transform ``v`` that
+  ``intmat.smith_form`` no longer returns: two r x c matrices have the
+  same column lattice iff some unimodular v carries one onto the other,
+  so ``u @ mat @ v == d`` holds for some v iff ``u @ mat`` and ``d``
+  have the same ``column_lattice``.
 """
 
 from idealsplit import fgab, intmat, kunneth, splitter
@@ -241,3 +246,9 @@ def five_term_exact(inst):
             kunneth._scaled(fgab.GroupHom.identity(data.K1), coeff.n)]
     return all(fgab.kernel(out) == fgab.image(into)
                for into, out in zip(maps, maps[1:]))
+
+
+def column_lattice(mat, rows, cols):
+    """Canonical Hermite basis of the lattice spanned by the columns of
+    an r x c matrix."""
+    return intmat.hnf_nonzero(intmat.transpose(mat, cols), cols=rows)

@@ -16,9 +16,10 @@ import pytest
 from idealsplit.cli import main
 from idealsplit.errors import (DefectNotApplicableError,
                                SplittingObstructionError)
-from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image_subgroup,
-                             induced_tensor_hom, induced_torsion_hom,
-                             n_torsion_group, tensor_zmod)
+from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image,
+                             image_subgroup, induced_tensor_hom,
+                             induced_torsion_hom, n_torsion_group,
+                             tensor_zmod)
 from idealsplit.fileformat import (complex_iso_from_json, instance_to_json,
                                    iso_input_to_json, load_file, save_file,
                                    splitting_from_json)
@@ -35,7 +36,7 @@ from idealsplit.splitter import (build_ideal_splitting, check_gamma_exact,
                                  exhaustive_ideal_splittings, full_section,
                                  verify_ideal_splitting)
 
-from oracles import is_pure_bruteforce
+from oracles import column_lattice, is_pure_bruteforce
 from test_fixtures import diamond24
 from test_kunneth import natural_family
 
@@ -246,7 +247,7 @@ def test_criterion_4_dp_mechanism():
                 if not check.ok:
                     problems.append("%s: verify failed" % tag)
                 corridor = inst.node("I%d" % k).Kn_sub
-                if not full_section(inst, fam).image() <= corridor:
+                if not image(full_section(inst, fam)) <= corridor:
                     problems.append("%s: image leaves the corridor" % tag)
                 feasible[k] = {s.matrix
                                for s in exhaustive_ideal_splittings(inst)}
@@ -451,15 +452,13 @@ def _snf_suite(problems):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         mat = [[rng.randrange(-30, 31) if rng.random() < 0.85 else 0
                 for _ in range(c)] for _ in range(r)]
-        d, u, uinv, v, vinv = smith_form(mat)
-        if matmul(matmul(u, mat), v) != d:
+        d, u, uinv = smith_form(mat)
+        # some unimodular v has u m v == d
+        if column_lattice(matmul(u, mat), r, c) != column_lattice(d, r, c):
             problems.append("snf case %d: u m v != d" % case)
         if matmul(u, uinv) != unit_matrix(r) or \
                 matmul(uinv, u) != unit_matrix(r):
             problems.append("snf case %d: u not unimodular" % case)
-        if matmul(v, vinv) != unit_matrix(c) or \
-                matmul(vinv, v) != unit_matrix(c):
-            problems.append("snf case %d: v not unimodular" % case)
         if any(d[i][j] for i in range(r) for j in range(c) if i != j):
             problems.append("snf case %d: not diagonal" % case)
         diag = [d[i][i] for i in range(min(r, c))]

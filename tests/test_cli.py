@@ -56,6 +56,33 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "nope.json"
     assert main(["validate", str(missing)]) == 2
+    # bytes that are not UTF-8 and an integer past the interpreter's
+    # digit limit are file errors too
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["validate", str(binary)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": %s}' % ("1" * 5000), encoding="utf-8")
+    assert main(["validate", str(huge)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: Exceeds the limit (4300 digits) for integer string")
+
+
+def test_bug_in_a_check_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only bad input exits 2; a ValueError from inside the library is a
+    # bug and propagates
+    path = write_instance(tmp_path, diamond24())
+
+    def broken(inst):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("idealsplit.cli.validate_instance", broken)
+    with pytest.raises(ValueError, match="boom"):
+        main(["validate", path])
 
 
 def test_validate_bad_matrix_shape(tmp_path, capsys):
@@ -311,6 +338,10 @@ def test_gen_defect_not_applicable(tmp_path, capsys):
 
 def test_gen_bad_params(capsys):
     assert main(["gen", "dp", "--p", "4", "--m", "1", "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: p must be prime, got 4\n"
+    assert main(["gen", "dp", "--p", "2", "--m", "4", "--k", "5"]) == 2
+    assert capsys.readouterr().err \
+        == "error: need m >= 1 and 0 <= k_max <= m\n"
     assert main(["gen", "dp", "--p", "2"]) == 2
     assert main(["gen", "defect"]) == 2
     assert main(["gen", "aligned", "--coeffs", "x"]) == 2

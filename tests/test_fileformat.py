@@ -269,7 +269,8 @@ def test_family_block_bad_keys():
 
 def test_library_errors_keep_their_schema_location():
     # a library error raised while an object is built from a document
-    # becomes a SchemaError prefixed by the path of that object
+    # becomes a SchemaError prefixed by the path of that object; a
+    # SchemaError raised there already names its path and keeps it
     def instance_doc(edit, family=False):
         if family:
             fam, _ = natural_family(Z, FgGroup((4,)), [2, 4])
@@ -286,6 +287,15 @@ def test_library_errors_keep_their_schema_location():
 
     def long_vector(doc):
         doc["ideals"]["a"]["K0"] = [[1, 0, 0]]
+
+    def unlisted_record(doc):
+        doc["ideals"]["a"]["K0"] = {}
+
+    def unlisted_vector(doc):
+        doc["ideals"]["a"]["K0"] = [7]
+
+    def text_entry(doc):
+        doc["ideals"]["a"]["K0"] = [[1, "x"]]
 
     def zero_n(doc):
         doc["n"] = 0
@@ -318,8 +328,12 @@ def test_library_errors_keep_their_schema_location():
     cases = [
         (k1_factors, False, "instance.groups.K1: broken divisibility chain: "
          "4 does not divide 2"),
-        (long_vector, False, "instance.ideals.a.K0: instance.ideals.a.K0[0]: "
-         "vector length 3, ambient rank 2"),
+        (long_vector, False,
+         "instance.ideals.a.K0[0]: vector length 3, ambient rank 2"),
+        (unlisted_record, False, "instance.ideals.a.K0: expected a list"),
+        (unlisted_vector, False, "instance.ideals.a.K0[0]: expected a list"),
+        (text_entry, False,
+         "instance.ideals.a.K0[0]: expected an integer, got 'x'"),
         (zero_n, False, "instance.n: modulus must be positive"),
         (one_n, False, "instance.n: coefficient must be an integer >= 2"),
         (cycle, False,

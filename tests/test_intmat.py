@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealsplit import intmat
-from oracles import full_scan_reduce, kernel_columns, solve_columns
+from oracles import (column_lattice, full_scan_reduce, kernel_columns,
+                     solve_columns)
 
 
 # --- oracles -----------------------------------------------------------
@@ -89,27 +90,29 @@ def random_row_mix(rng, mat, rows, cols, ops=8):
 
 def test_smith_frozen_example():
     mat = [[2, 4], [6, 8]]
-    d, u, uinv, v, vinv = intmat.smith_form(mat)
+    d, u, uinv = intmat.smith_form(mat)
     # oracle: gcd of entries is 2, |det| = 8, so factors are (2, 4)
     assert invariant_factors_oracle(mat, 2, 2) == [2, 4]
     assert intmat.smith_diagonal(d) == [2, 4]
-    assert intmat.matmul(intmat.matmul(u, mat), v) == d
+    assert column_lattice(intmat.matmul(u, mat), 2, 2) \
+        == column_lattice(d, 2, 2)
     assert intmat.matmul(u, uinv) == intmat.identity(2)
-    assert intmat.matmul(v, vinv) == intmat.identity(2)
 
 
 def test_smith_rank_deficient():
     mat = [[2, 4], [1, 2]]
-    d, u, uinv, v, vinv = intmat.smith_form(mat)
+    d, u, uinv = intmat.smith_form(mat)
     assert intmat.smith_diagonal(d) == invariant_factors_oracle(mat, 2, 2) == [1, 0]
-    assert intmat.matmul(intmat.matmul(u, mat), v) == d
+    assert column_lattice(intmat.matmul(u, mat), 2, 2) \
+        == column_lattice(d, 2, 2)
+    assert intmat.matmul(u, uinv) == intmat.identity(2)
 
 
 def test_smith_empty_and_zero():
-    d, u, uinv, v, vinv = intmat.smith_form([], cols=3)
-    assert d == [] and u == [] and v == intmat.identity(3)
-    d, u, uinv, v, vinv = intmat.smith_form([[], []], cols=0)
-    assert d == [[], []] and v == []
+    d, u, uinv = intmat.smith_form([], cols=3)
+    assert d == [] and u == [] and uinv == []
+    d, u, uinv = intmat.smith_form([[], []], cols=0)
+    assert d == [[], []] and u == uinv == intmat.identity(2)
     d, *_ = intmat.smith_form(intmat.zeros(2, 3))
     assert intmat.smith_diagonal(d) == [0, 0]
 
@@ -119,18 +122,19 @@ def test_smith_matches_minor_oracle_seeded():
     for _ in range(120):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         mat = random_matrix(rng, rows, cols)
-        d, u, uinv, v, vinv = intmat.smith_form(mat)
+        d, u, uinv = intmat.smith_form(mat)
         diag = intmat.smith_diagonal(d)
         assert diag == invariant_factors_oracle(mat, rows, cols)
         # divisibility chain and sign
         for a, b in zip(diag, diag[1:]):
             assert a >= 0 and (a == 0 or b % a == 0)
-        # transforms are exact and invertible
-        assert intmat.matmul(intmat.matmul(u, mat), v) == d
+        # u is exact and invertible, and some unimodular v has
+        # u @ mat @ v == d
+        assert column_lattice(intmat.matmul(u, mat), rows, cols) \
+            == column_lattice(d, rows, cols)
         assert intmat.matmul(u, uinv) == intmat.identity(rows)
         assert intmat.matmul(uinv, u) == intmat.identity(rows)
-        assert intmat.matmul(v, vinv) == intmat.identity(cols)
-        assert is_unimodular(u) and is_unimodular(v)
+        assert is_unimodular(u)
 
 
 def test_smith_deterministic():
@@ -429,9 +433,11 @@ small_entries = st.integers(min_value=-12, max_value=12)
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3),
                 min_size=1, max_size=3))
 def test_property_smith_diag_is_invariant_factors(mat):
-    d, u, uinv, v, vinv = intmat.smith_form(mat)
+    d, u, uinv = intmat.smith_form(mat)
     assert intmat.smith_diagonal(d) == invariant_factors_oracle(mat, len(mat), 3)
-    assert intmat.matmul(intmat.matmul(u, mat), v) == d
+    assert column_lattice(intmat.matmul(u, mat), len(mat), 3) \
+        == column_lattice(d, len(mat), 3)
+    assert intmat.matmul(u, uinv) == intmat.identity(len(mat))
 
 
 @settings(max_examples=60, deadline=None)

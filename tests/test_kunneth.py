@@ -12,6 +12,7 @@ the expectations independent of the module under test.
 
 import collections
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -26,9 +27,9 @@ from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
                              preimage_subgroup, tensor_zmod)
 from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
-                                KunnethInstance, check_coherence,
-                                check_family_coherence, reduction_hom,
-                                validate_instance)
+                                KunnethInstance, ValidationReport,
+                                check_coherence, check_family_coherence,
+                                reduction_hom, validate_instance)
 from idealsplit.lattice import IdealLattice
 
 from oracles import five_term_exact, scan_sub_eq
@@ -372,6 +373,55 @@ def test_constructor_rejects_structural_breakage():
                                           nodes[0].K1_sub, nodes[0].Kn_sub))
     with pytest.raises(LatticeError):
         inst.with_added_node(nodes[0], below=[], above=[])
+
+
+def test_records_are_frozen_and_keep_their_equality():
+    inst, _ = diamond_instance()
+    data, coeff, node = inst.data, inst.coeff, inst.node("a")
+    report = validate_instance(inst)
+    # the instance records compare and hash by value
+    copies = [(data, KData(data.K0, data.K1)),
+              (coeff, CoeffGroup(coeff.n, coeff.Kn, coeff.rho_tilde,
+                                 coeff.beta_tilde)),
+              (node, IdealNode(node.id, node.K0_sub, node.K1_sub,
+                               node.Kn_sub))]
+    for record, copy in copies:
+        assert copy is not record and copy == record
+        assert hash(copy) == hash(record)
+    assert node != inst.node("b")
+    assert data != KData(data.K1, data.K0)
+    # a report compares and hashes by identity, and keeps a tuple
+    again = ValidationReport(list(report))
+    assert again.results == report.results and type(again.results) is tuple
+    assert again != report and report == report
+    assert hash(report) == object.__hash__(report)
+    for record, field in ((data, "K0"), (coeff, "n"), (node, "id"),
+                          (report, "results")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    # the coefficient is normalized to an int and is at least 2
+    widened = CoeffGroup(Fraction(coeff.n), coeff.Kn, coeff.rho_tilde,
+                         coeff.beta_tilde)
+    assert type(widened.n) is int and widened == coeff
+    with pytest.raises(ValueError,
+                       match=r"^coefficient must be an integer >= 2$"):
+        CoeffGroup(1, coeff.Kn, coeff.rho_tilde, coeff.beta_tilde)
+    wrong_types = [
+        (lambda: KData(data.K0, None),
+         "KData fields must be FgGroup instances"),
+        (lambda: CoeffGroup(coeff.n, None, coeff.rho_tilde, coeff.beta_tilde),
+         "Kn must be an FgGroup"),
+        (lambda: CoeffGroup(coeff.n, coeff.Kn, coeff.rho_tilde, None),
+         "rho_tilde and beta_tilde must be GroupHoms"),
+        (lambda: IdealNode(7, node.K0_sub, node.K1_sub, node.Kn_sub),
+         "ideal id must be a string"),
+        (lambda: IdealNode(node.id, node.K0_sub, None, node.Kn_sub),
+         "ideal data must be Subgroup instances"),
+    ]
+    for build, message in wrong_types:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_a_bug_in_a_check_propagates(monkeypatch):

@@ -1,4 +1,5 @@
-"""The package carries no public name that only tests reach.
+"""The package carries no public name that only tests reach, and no
+record hand-writes what ``dataclasses`` generates.
 
 A public module-level function or class in ``src/idealsplit`` must be
 exported in ``idealsplit.__all__`` or referenced somewhere in ``src/``
@@ -8,16 +9,28 @@ name).  An exported name must earn its place the same way, with a
 reference in ``src/`` outside ``__init__.py`` or in ``perfbench/``, or
 else be named in ``README.md``.  A name that only tests use belongs in
 the tests, for example as an oracle in ``tests/oracles.py``.
+
+A class that only holds its fields is a frozen dataclass.  Only the
+classes in ``HAND_FROZEN``, whose ``__init__`` canonicalizes or
+reshapes its input, write their own ``__setattr__``.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import idealsplit
+from idealsplit import kunneth, splitter
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "idealsplit"
+
+HAND_FROZEN = {"FgGroup", "GroupHom", "Subgroup", "IdealLattice",
+               "KunnethInstance", "CoherentFamily"}
+RECORDS = [kunneth.KData, kunneth.CoeffGroup, kunneth.IdealNode,
+           kunneth.ValidationReport, splitter.SplittingFamily,
+           splitter.ComplexIso]
 
 
 def _references(tree):
@@ -107,3 +120,20 @@ def test_scan_sees_the_package():
     assert {"check_gamma_exact", "gamma0", "sum_model"} <= names
     defined = {name for _, _, name in top_level_definitions()}
     assert set(idealsplit.__all__) <= defined
+
+
+def test_only_reshaping_classes_write_their_own_setattr():
+    written = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                written[node.name] = {item.name for item in node.body
+                                      if isinstance(item, ast.FunctionDef)}
+    assert HAND_FROZEN <= set(written), "the scan found no class"
+    assert {name for name, methods in written.items()
+            if "__setattr__" in methods} <= HAND_FROZEN
+    for record in RECORDS:
+        assert dataclasses.is_dataclass(record)
+        assert record.__dataclass_params__.frozen
+        assert not {"__init__", "__setattr__", "__eq__"} \
+            & written[record.__name__]
