@@ -303,7 +303,7 @@ def family_from_json(obj, data, where="coherent_family"):
     groups = obj["coeff_groups"]
     _check_keys(groups, where + ".coeff_groups",
                 tuple(str(n) for n in sorted(ns)))
-    coeffs, models = {}, {}
+    coeffs = {}
     for n in ns:
         rec = groups[str(n)]
         w = "%s.coeff_groups.%s" % (where, n)
@@ -313,7 +313,6 @@ def family_from_json(obj, data, where="coherent_family"):
             T, _ = tensor_zmod(data.K0, n)
             T1, _ = n_torsion_group(data.K1, n)
             CoeffGroup.coefficient(n)
-        models[n] = (T, T1, Kn)
         rho = hom_from_json(rec["rho_tilde"], T, Kn, w + ".rho_tilde")
         beta = hom_from_json(rec["beta_tilde"], Kn, T1, w + ".beta_tilde")
         with _schema(w):
@@ -321,20 +320,22 @@ def family_from_json(obj, data, where="coherent_family"):
     kappa = {}
     for key, rec in _object(obj["kappa"], where + ".kappa").items():
         m, n = _pair_key(key, ns, where + ".kappa")
-        kappa[(m, n)] = hom_from_json(rec, models[n][2], models[m][2],
+        kappa[(m, n)] = hom_from_json(rec, coeffs[n].Kn, coeffs[m].Kn,
                                       "%s.kappa.%s" % (where, key))
     lam = {}
     for key, rec in _object(obj.get("lambda", {}),
                             where + ".lambda").items():
         m, n = _pair_key(key, ns, where + ".lambda")
-        lam[(m, n)] = hom_from_json(rec, models[n][1], models[m][1],
+        lam[(m, n)] = hom_from_json(rec, coeffs[n].beta_tilde.codomain,
+                                    coeffs[m].beta_tilde.codomain,
                                     "%s.lambda.%s" % (where, key))
     sigmas = None
     if "sigmas" in obj:
         sigmas = {}
         for key, rec in _object(obj["sigmas"], where + ".sigmas").items():
             n = _coeff_key(key, ns, where + ".sigmas")
-            sigmas[n] = hom_from_json(rec, models[n][1], models[n][2],
+            sigmas[n] = hom_from_json(rec, coeffs[n].beta_tilde.codomain,
+                                      coeffs[n].Kn,
                                       "%s.sigmas.%s" % (where, key))
     with _schema(where):
         return CoherentFamily(data, coeffs, kappa, lam, sigmas)
@@ -424,7 +425,7 @@ def dumps_canonical(doc):
 def loads(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("not valid JSON: %s" % exc)
     except ValueError as exc:
         # an integer literal past the interpreter's digit limit

@@ -361,7 +361,7 @@ def validate_instance(inst):
 
     run("sequence-exact:rho-injective", rho_injective)
     run("sequence-exact:kernel-image",
-        lambda: eq(kernel(coeff.beta_tilde), image(coeff.rho_tilde),
+        lambda: eq(inst.kernel_beta(), image(coeff.rho_tilde),
                    "ker beta_tilde vs im rho_tilde"))
     run("sequence-exact:beta-surjective",
         lambda: None if coeff.beta_tilde.is_surjective()

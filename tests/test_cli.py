@@ -56,8 +56,8 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "nope.json"
     assert main(["validate", str(missing)]) == 2
-    # bytes that are not UTF-8 and an integer past the interpreter's
-    # digit limit are file errors too
+    # bytes that are not UTF-8, an integer past the interpreter's digit
+    # limit and nesting past its recursion limit are file errors too
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     capsys.readouterr()
@@ -70,6 +70,10 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert main(["validate", str(huge)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: Exceeds the limit (4300 digits) for integer string")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["validate", str(deep)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_bug_in_a_check_is_not_a_usage_error(tmp_path, monkeypatch):

@@ -220,11 +220,57 @@ def test_bad_n_rejected():
         instance_from_json(doc)
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
 def test_loads_rejects_garbage():
     with pytest.raises(SchemaError, match="JSON"):
         loads("{")
     with pytest.raises(SchemaError, match="object"):
         loads("[1, 2]")
+    # nested past the interpreter's recursion limit
+    with pytest.raises(SchemaError, match="^not valid JSON: "):
+        loads(DEEP)
+
+
+def json_paths(node, path=()):
+    """Every path below node: dict keys and list indices, depth first."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_fuzzed_documents_end_in_a_schema_error_or_an_instance():
+    # every 11th-byte truncation of one seeded document, the document
+    # with each path replaced in turn by each wrong value, and a file
+    # nested past the recursion limit
+    doc = instance_to_json(random_instance(3))
+    text = dumps_canonical(doc)
+    cases = [text[:cut] for cut in range(0, len(text), 11)]
+    cases += [dumps_canonical(replaced(doc, path, value))
+              for path in json_paths(doc)
+              for value in ([], {}, "x", None, 1.5, 10**6)]
+    cases.append(DEEP)
+    assert len(cases) == 1062
+    parsed = 0
+    for case in cases:
+        try:
+            instance_from_json(loads(case))
+        except SchemaError:
+            continue
+        parsed += 1
+    assert 0 < parsed < len(cases)
 
 
 # --- coherent-family block ---------------------------------------------------

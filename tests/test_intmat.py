@@ -374,30 +374,53 @@ def compatible_row(rng, var_mods, row_mod):
     return row
 
 
+def random_system(rng):
+    """A small congruence system over bounded variables, drawn from rng."""
+    nvars = rng.randint(1, 3)
+    nrows = rng.randint(0, 3)
+    var_mods = [rng.choice([2, 3, 4, 5, 6]) for _ in range(nvars)]
+    row_mods = [rng.choice([0, 2, 3, 4, 6]) for _ in range(nrows)]
+    rows = [compatible_row(rng, var_mods, m) for m in row_mods]
+    rhs = [rng.randint(-4, 4) for _ in range(nrows)]
+    return rows, rhs, row_mods, var_mods
+
+
+def check_against_bruteforce(rows, rhs, row_mods, var_mods):
+    """The solver's answer against enumeration; True if solvable.
+
+    The solution is the lexicographically least one, and sol plus the
+    reported lattice, reduced modulo the variable moduli, is exactly
+    the solution set."""
+    system = (rows, rhs, row_mods, var_mods)
+    nvars = len(var_mods)
+    expected = brute_solutions(rows, rhs, row_mods, nvars, var_mods)
+    got = intmat.solve_congruences(rows, rhs, row_mods, nvars, var_mods)
+    if not expected:
+        assert got is None, system
+        return False
+    assert got is not None, system
+    sol, lattice = got
+    assert sol == min(expected), system
+    for vec in expected:
+        diff = [a - b for a, b in zip(vec, sol)]
+        assert intmat.lattice_contains(diff, lattice), system
+    for gen in lattice:
+        moved = [(x + g) % m for x, g, m in zip(sol, gen, var_mods)]
+        assert moved in expected, system
+    return True
+
+
 def test_solve_congruences_matches_bruteforce():
     rng = random.Random(0x5EED6)
-    solvable = 0
-    for _ in range(200):
-        nvars = rng.randint(1, 3)
-        nrows = rng.randint(0, 3)
-        var_mods = [rng.choice([2, 3, 4, 5, 6]) for _ in range(nvars)]
-        row_mods = [rng.choice([0, 2, 3, 4, 6]) for _ in range(nrows)]
-        rows = [compatible_row(rng, var_mods, m) for m in row_mods]
-        rhs = [rng.randint(-4, 4) for _ in range(nrows)]
-        expected = brute_solutions(rows, rhs, row_mods, nvars, var_mods)
-        got = intmat.solve_congruences(rows, rhs, row_mods, nvars, var_mods)
-        if not expected:
-            assert got is None, (rows, rhs, row_mods, var_mods)
-            continue
-        solvable += 1
-        assert got is not None, (rows, rhs, row_mods, var_mods)
-        sol, lattice = got
-        assert sol == min(expected)
-        # the reported lattice generates exactly the solution set
-        for vec in expected:
-            diff = [a - b for a, b in zip(vec, sol)]
-            assert intmat.lattice_contains(diff, lattice)
+    solvable = sum(check_against_bruteforce(*random_system(rng))
+                   for _ in range(200))
     assert solvable >= 30  # the sweep actually exercised the solver
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_property_solve_congruences_matches_bruteforce(rng):
+    check_against_bruteforce(*random_system(rng))
 
 
 def test_solve_congruences_rejects_ill_posed():

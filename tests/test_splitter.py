@@ -662,11 +662,19 @@ def test_lift_block_swap():
         == inst.node("a").Kn_sub
 
 
+def moving_theta(inst, parts):
+    """theta = id + rho_tilde . h . beta_tilde on Kn, moving Kn(a).
+
+    beta_tilde . rho_tilde = 0, so theta commutes with both rows."""
+    h = GroupHom(parts.T1, parts.T, [[0, 0], [1, 0]])
+    return (GroupHom.identity(inst.coeff.Kn)
+            + inst.coeff.rho_tilde @ h @ inst.coeff.beta_tilde)
+
+
 def test_lift_to_twisted_instance():
     # same groups, ideal data twisted by a unipotent automorphism of Kn
     inst, parts = diamond_instance()
-    w = GroupHom(parts.T1, parts.T, [[1, 0], [0, 0]])
-    theta = GroupHom.identity(inst.coeff.Kn) + (parts.i1 @ w @ parts.p2)
+    theta = moving_theta(inst, parts)
     assert theta.is_iso()
     nodes = []
     for i in inst.order.nodes:
@@ -675,6 +683,7 @@ def test_lift_to_twisted_instance():
                                image_subgroup(theta, node.Kn_sub)))
     twisted = KunnethInstance(inst.data, inst.coeff, nodes, inst.order)
     assert validate_instance(twisted).ok
+    assert twisted.node("a").Kn_sub != inst.node("a").Kn_sub
     phi0 = GroupHom.identity(inst.data.K0)
     phi1 = GroupHom.identity(inst.data.K1)
     iso = lift_isomorphism(inst, twisted, phi0, phi1,
@@ -740,3 +749,61 @@ def test_lift_validates_each_instance_once(monkeypatch):
     phi1 = GroupHom.identity(inst.data.K1)
     lift_isomorphism(inst, inst, phi0, phi1, identity_pairing(inst))
     assert len(seen) == 2
+
+
+def test_lift_builds_one_map_and_no_inverse(monkeypatch):
+    inst, _ = diamond_instance()
+    calls = collections.Counter()
+    lift_map, inverse = splitter._lift_map, GroupHom.inverse
+
+    def counting_lift(*args):
+        calls["_lift_map"] += 1
+        return lift_map(*args)
+
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(splitter, "_lift_map", counting_lift)
+    monkeypatch.setattr(GroupHom, "inverse", counting_inverse)
+    phi0 = GroupHom.identity(inst.data.K0)
+    phi1 = GroupHom.identity(inst.data.K1)
+    lift_isomorphism(inst, inst, phi0, phi1, identity_pairing(inst))
+    assert calls == {"_lift_map": 1}
+
+
+def lift_through(monkeypatch, theta):
+    """Lift the identity of the diamond with theta . phi as the middle map."""
+    inst, _ = diamond_instance()
+    lift_map = splitter._lift_map
+    monkeypatch.setattr(splitter, "_lift_map",
+                        lambda *args: theta @ lift_map(*args))
+    phi0 = GroupHom.identity(inst.data.K0)
+    phi1 = GroupHom.identity(inst.data.K1)
+    lift_isomorphism(inst, inst, phi0, phi1, identity_pairing(inst))
+
+
+def test_lift_rejects_a_middle_map_that_moves_an_ideal(monkeypatch):
+    # theta . phi passes both squares, so only the per-ideal check
+    # stands between it and a ComplexIso
+    inst, parts = diamond_instance()
+    theta = moving_theta(inst, parts)
+    rho, beta = inst.coeff.rho_tilde, inst.coeff.beta_tilde
+    assert theta @ rho == rho and beta @ theta == beta
+    assert [i for i in sorted(inst.order.nodes)
+            if image_subgroup(theta, inst.node(i).Kn_sub)
+            != inst.node(i).Kn_sub] == ["a"]
+    with pytest.raises(LiftHypothesisError) as info:
+        lift_through(monkeypatch, theta)
+    assert str(info.value) == "phi Kn(a) differs from Kn(a)"
+
+
+def test_lift_rejects_a_middle_map_off_the_rho_square(monkeypatch):
+    # id + rho_tilde . p1 keeps the beta square and kills im rho_tilde
+    inst, parts = diamond_instance()
+    theta = (GroupHom.identity(inst.coeff.Kn)
+             + inst.coeff.rho_tilde @ parts.p1)
+    assert inst.coeff.beta_tilde @ theta == inst.coeff.beta_tilde
+    with pytest.raises(LiftHypothesisError) as info:
+        lift_through(monkeypatch, theta)
+    assert str(info.value) == "phi does not commute with rho_tilde"
