@@ -330,6 +330,18 @@ def test_gen_defect_roundtrip(tmp_path, capsys):
     assert "FAIL purity" in out
 
 
+def test_gen_defect_from_seed(tmp_path, capsys):
+    # the README's example: no --base, so the defect is planted on the
+    # seed's aligned instance
+    out_path = tmp_path / "defect.json"
+    assert main(["gen", "defect", "--kind", "break-purity", "--seed", "12",
+                 "-o", str(out_path)]) == 0
+    assert main(["validate", "--format", "json", str(out_path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in doc["checks"] if not c["ok"]]
+    assert failed and all(name.startswith("purity:") for name in failed)
+
+
 def test_gen_defect_not_applicable(tmp_path, capsys):
     # torsion-free K1: no torsion generator can be scaled inward
     base = direct_sum_instance(Z2, FgGroup((), 1), 2,

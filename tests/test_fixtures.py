@@ -7,7 +7,8 @@ import pytest
 from idealsplit import fixtures
 from idealsplit.errors import (DefectNotApplicableError,
                                InstanceValidationError, LatticeError)
-from idealsplit.fgab import FgGroup, GroupHom, Subgroup
+from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, n_torsion_group,
+                             tensor_zmod)
 from idealsplit.fixtures import (DEFECT_KINDS, coordinate_subgroup, direct_sum_instance,
                                  dp_truncation, plant_defect,
                                  random_automorphism, random_hom,
@@ -77,6 +78,91 @@ def test_direct_sum_instance_rejects_bad_joins():
     with pytest.raises(LatticeError, match="lattice-laws:join:a,b"):
         direct_sum_instance(FgGroup((), 3), K24, 2,
                             {"a": ((0,), ()), "b": ((1,), ())})
+
+
+def _random_aligned_spec(rng):
+    """K0 free or with torsion, K1 off the torsion menu, n in {2, 3, 4,
+    6} and 0-4 random coordinate pairs, closed or not."""
+    K0 = FgGroup(rng.choice(((), (), (), (), (2,), (3,))),
+                 rng.randint(0, 3))
+    K1 = FgGroup(rng.choice(fixtures._TORSION_MENU), rng.randint(0, 1))
+    spec = {}
+    for k in range(rng.randint(0, 4)):
+        spec["c%d" % k] = (
+            tuple(i for i in range(K0.rank) if rng.random() < 0.5),
+            tuple(i for i in range(K1.rank) if rng.random() < 0.5))
+    return K0, K1, rng.choice((2, 3, 4, 6)), spec
+
+
+def test_ring_of_sets_certificate_agrees_with_validation(monkeypatch):
+    # direct_sum_instance validates exactly the specs its ring-of-sets
+    # certificate does not accept, so the certificate's verdict is "no
+    # validation ran"; it must match validate_instance on every spec
+    # whose order builds
+    verdicts = []
+
+    def recording(inst):
+        report = validate_instance(inst)
+        verdicts.append(report.ok)
+        return report
+
+    monkeypatch.setattr(fixtures, "validate_instance", recording)
+    rng = random.Random(21)
+    built, valid = 0, 0
+    for _ in range(1500):
+        K0, K1, n, spec = _random_aligned_spec(rng)
+        verdicts.clear()
+        try:
+            inst = direct_sum_instance(K0, K1, n, spec)
+        except LatticeError:
+            if not verdicts:
+                continue  # repeated coordinate pairs: no partial order
+        built += 1
+        if verdicts:
+            assert verdicts == [False], spec
+        else:
+            assert validate_instance(inst).ok, spec
+            valid += 1
+    assert built > 1000 and 500 < valid < built - 500
+
+
+def test_generators_leave_validation_to_their_callers(monkeypatch):
+    # counts, not timing: the generators are valid by construction, so
+    # only a spec that fails the ring-of-sets rule reaches the validator
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return validate_instance(inst)
+
+    monkeypatch.setattr(fixtures, "validate_instance", counted)
+    for seed in range(200):
+        random_instance(seed)
+        random_instance(seed, twist=False)
+    # transported pairs by the acceptance suite's lift recipe
+    for seed in range(20):
+        inst = random_instance(seed, twist=False)
+        rng = random.Random(10_000 + seed)
+        phi0 = random_automorphism(inst.data.K0, rng)
+        phi1 = random_automorphism(inst.data.K1, rng)
+        h = None
+        if seed % 2:
+            T, _ = tensor_zmod(inst.data.K0, inst.coeff.n)
+            T1, _ = n_torsion_group(inst.data.K1, inst.coeff.n)
+            h = random_hom(T1, T, rng)
+        transported_instance(inst, phi0, phi1, h)
+    # every coordinate subset of range(k) in both K0 and K1: 2^k
+    for k in (3, 4, 5):
+        spec = {}
+        for mask in range(2 ** k):
+            idx = tuple(i for i in range(k) if mask >> i & 1)
+            spec["s%d" % mask] = (idx, idx)
+        direct_sum_instance(FgGroup((), k), FgGroup((2,) * k), 2, spec)
+    assert calls == []
+    with pytest.raises(LatticeError, match="lattice-laws:join:a,b"):
+        direct_sum_instance(FgGroup((), 3), K24, 2,
+                            {"a": ((0,), ()), "b": ((1,), ())})
+    assert len(calls) == 1
 
 
 def test_sum_model_parts():

@@ -215,6 +215,19 @@ def test_failure_witnesses_are_pinned():
         "sequence-exact:rho-injective").witness == "kernel contains (1, 1)"
 
 
+def test_non_lattice_witnesses_are_pinned():
+    # two maximal ideals over one bottom: no top, so no join of a and b
+    coords = {"bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (1,))}
+    inst, _ = aligned(Z2, FgGroup((2, 4)), 2, coords)
+    failures = {r.name: r.witness for r in validate_instance(inst).failures()}
+    assert failures == {
+        "top-full": "lattice has no top",
+        "lattice-laws:join:a,b": "lattice join of a, b undefined",
+        "lattice-shape": "not a bounded lattice (missing bound or meet/join)",
+        "lattice-distributive": "not even a bounded lattice",
+    }
+
+
 def test_sub_eq_matches_scan_oracle():
     # _gap words each side's witness like the oracle does
     def left(g):
