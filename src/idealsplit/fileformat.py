@@ -418,8 +418,48 @@ def complex_iso_from_json(doc, inst_a, inst_b):
 
 # --- bytes on disk -----------------------------------------------------------
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _canonical(x, indent):
+    """``x`` as ``json.dumps(x, sort_keys=True, indent=2)`` writes it,
+    nested at ``indent``.  Dicts with str keys, lists, str, int, bool
+    and None are written here, which skips the standard library's
+    pure-Python encoder that indentation selects; any other value
+    goes through ``json.dumps`` and is re-indented."""
+    kind = type(x)
+    if kind is str:
+        return _escape(x)
+    if kind is int:
+        return repr(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    inner = indent + "  "
+    if kind is list:
+        if not x:
+            return "[]"
+        items = [repr(v) if type(v) is int else _canonical(v, inner)
+                 for v in x]
+        ends = "[]"
+    elif kind is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        items = [_escape(k) + ": " + _canonical(x[k], inner)
+                 for k in sorted(x)]
+        ends = "{}"
+    else:
+        return json.dumps(x, sort_keys=True, indent=2).replace(
+            "\n", "\n" + indent)
+    return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(items),
+                               indent, ends[1])
+
+
 def dumps_canonical(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _canonical(doc, "") + "\n"
 
 
 def loads(text):

@@ -20,6 +20,8 @@ Conventions used throughout the package:
   tuple whenever every variable carries a finite modulus.
 """
 
+from operator import mul
+
 
 def shape(mat, cols=None):
     """Return ``(rows, cols)``, validating that ``mat`` is rectangular."""
@@ -71,16 +73,14 @@ def matmul(a, b, bcols=None):
     rb, cb = shape(b, bcols)
     if rb != k:
         raise ValueError("dimension mismatch: %dx%d @ %dx%d" % (ra, k, rb, cb))
-    out = []
-    for row in a:
-        out.append([sum(row[t] * b[t][j] for t in range(k)) for j in range(cb)])
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def matvec(a, vec):
     if a and len(a[0]) != len(vec):
         raise ValueError("dimension mismatch in matvec")
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in a]
+    return [sum(map(mul, row, vec)) for row in a]
 
 
 def hnf_rows(mat, cols=None, transform=True):

@@ -33,8 +33,13 @@ another way:
   ``intmat.smith_form`` no longer returns: two r x c matrices have the
   same column lattice iff some unimodular v carries one onto the other,
   so ``u @ mat @ v == d`` holds for some v iff ``u @ mat`` and ``d``
-  have the same ``column_lattice``.
+  have the same ``column_lattice``;
+* ``standard_dumps`` writes canonical JSON with the standard library's
+  indenting encoder, where ``fileformat.dumps_canonical`` writes it
+  itself.
 """
+
+import json
 
 from idealsplit import fgab, intmat, kunneth, splitter
 from idealsplit.errors import (AmbientMismatchError, NotSubgroupError,
@@ -252,3 +257,8 @@ def column_lattice(mat, rows, cols):
     """Canonical Hermite basis of the lattice spanned by the columns of
     an r x c matrix."""
     return intmat.hnf_nonzero(intmat.transpose(mat, cols), cols=rows)
+
+
+def standard_dumps(doc):
+    """``fileformat.dumps_canonical`` as the standard library writes it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

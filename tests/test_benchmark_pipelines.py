@@ -4,11 +4,14 @@ behaviour.
 A small fixed set of pool requests from every workload runs through
 ``perfbench/workloads.py`` unedited: each must pass the benchmark's own
 correctness gate and hash to the digest recorded in
-``perfbench/reference.json``.  Nothing is timed.
+``perfbench/reference.json``.  Every input document and every document
+a request writes must also be what the standard library's encoder
+writes.  Nothing is timed.
 """
 
 import json
 
+from oracles import standard_dumps
 from test_benchmark_hooks import PERFBENCH, load
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -33,7 +36,13 @@ def smoke_keys(workloads):
 
 def test_pipelines_match_recorded_digests():
     workloads = load("workloads")
-    ops = workloads.Ops.current()
+    written = []
+
+    def dump(make_doc):
+        written.append(make_doc())
+        return workloads.dump(lambda: written[-1])
+
+    ops = workloads.Ops.current(dump=dump)
     keys = smoke_keys(workloads)
     assert sorted(keys) == sorted(workloads.WORKLOADS)
     for name, chosen in keys.items():
@@ -41,6 +50,9 @@ def test_pipelines_match_recorded_digests():
         requests = workloads.WORKLOADS[name].make(chosen)
         assert len(requests) == len(chosen)
         for req in requests:
+            for text in req.docs:
+                assert text == standard_dumps(json.loads(text)), req.id
             res = workloads.run_request(ops, req)
+            assert res.output == standard_dumps(written[-1]), req.id
             assert workloads.check(req, res) is None, req.id
             assert workloads.digest(req, res)[:16] == recorded[req.id], req.id

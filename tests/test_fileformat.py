@@ -15,10 +15,12 @@ from idealsplit.fileformat import (SCHEMA_VERSION, complex_iso_from_json,
                                    iso_to_json, load_file, loads, save_file,
                                    splitting_from_json, splitting_to_json)
 from idealsplit.fixtures import (direct_sum_instance, dp_truncation,
-                                 random_instance, transported_instance)
+                                 plant_defect, random_instance,
+                                 transported_instance)
 from idealsplit.kunneth import check_coherence, validate_instance
 from idealsplit.splitter import (build_ideal_splitting, lift_isomorphism,
                                  verify_ideal_splitting)
+from oracles import standard_dumps
 from test_fixtures import K24, Z1, Z2, diamond24, same_nodes
 from test_kunneth import Z, natural_family
 
@@ -271,6 +273,38 @@ def test_fuzzed_documents_end_in_a_schema_error_or_an_instance():
             continue
         parsed += 1
     assert 0 < parsed < len(cases)
+
+
+def test_dumps_canonical_matches_the_standard_encoder():
+    # byte for byte, on every kind of document the library writes (the
+    # benchmark pipelines check theirs too), on the fuzzer's documents
+    # and on leaves no document holds: non-ASCII and escaped strings,
+    # empty containers, floats, int keys and tuples
+    inst = random_instance(3)
+    fam = build_ideal_splitting(inst)
+    nat, _ = natural_family(Z, FgGroup((4,)), [2, 4])
+    docs = [instance_to_json(inst), splitting_to_json(fam),
+            instance_to_json(carrier_instance(FgGroup((4,))), family=nat),
+            instance_to_json(dp_truncation(2, 4, 3)),
+            validate_instance(inst).as_dict(),
+            validate_instance(plant_defect(random_instance(0),
+                                           "break-lattice-law")).as_dict()]
+    docs += [replaced(docs[0], path, value)
+             for path in json_paths(docs[0])
+             for value in ([], {}, "x", None, 1.5, 10**6)]
+    docs += [{"\u00e9\u2603": "snow \u2603 \U0001d11e \x00\"\\\n\t\x7f",
+              "": [[], {}, [[]], [{}]], "f": [1.5, -0.0, 1e300, float("inf"),
+                                           float("nan")],
+              "n": [None, True, False, -7, 10**40]},
+             [], {}, "\u00fc", 0, 2.5, None, True,
+             {"k": {2: [1, {"a": 1.0}], 1: {}}}, (1, [2, ()]),
+             {"t": (1, {"u": ()})}]
+    for doc in docs:
+        assert dumps_canonical(doc) == standard_dumps(doc)
+    # keys that cannot be sorted fail the same way
+    for write in (dumps_canonical, standard_dumps):
+        with pytest.raises(TypeError):
+            write({"k": {1: 0, "b": 0}})
 
 
 # --- coherent-family block ---------------------------------------------------

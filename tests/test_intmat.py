@@ -88,6 +88,30 @@ def random_row_mix(rng, mat, rows, cols, ops=8):
 
 # --- smith form --------------------------------------------------------
 
+def test_products_match_the_triple_loop_seeded():
+    # matmul and matvec against index-by-index sums, on random shapes
+    # with empty ones and entries past a machine word
+    rng = random.Random(0x3A7)
+    for _ in range(300):
+        rows, inner, cols = (rng.randint(0, 5) for _ in range(3))
+        size = 10 ** rng.choice((1, 30))
+        a = random_matrix(rng, rows, inner, -size, size)
+        b = random_matrix(rng, inner, cols, -size, size)
+        vec = [rng.randint(-size, size) for _ in range(inner)]
+        assert intmat.matmul(a, b, bcols=cols) == [
+            [sum(a[i][t] * b[t][j] for t in range(inner))
+             for j in range(cols)] for i in range(rows)]
+        assert intmat.matvec(a, vec) == [
+            sum(a[i][t] * vec[t] for t in range(inner)) for i in range(rows)]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        intmat.matmul([[1, 2]], [[1], [2], [3]])
+    with pytest.raises(ValueError, match="bcols"):
+        intmat.matmul([[]], [])
+    assert intmat.matmul([[], []], [], bcols=3) == intmat.zeros(2, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        intmat.matvec([[1, 2]], [1])
+
+
 def test_smith_frozen_example():
     mat = [[2, 4], [6, 8]]
     d, u, uinv = intmat.smith_form(mat)

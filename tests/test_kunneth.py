@@ -90,6 +90,46 @@ def diamond_instance():
     return aligned(Z2, FgGroup((2, 4)), 2, DIAMOND)
 
 
+def boolean_instance(k):
+    """Every coordinate subset of range(k) as an ideal, in K0 = Z^k and
+    K1 = (Z/2)^k at once: the Boolean lattice 2^k."""
+    spec = {}
+    for mask in range(1, 2 ** k - 1):
+        idx = tuple(i for i in range(k) if mask >> i & 1)
+        spec["s%d" % mask] = (idx, idx)
+    return fixtures.direct_sum_instance(FgGroup((), k), FgGroup((2,) * k),
+                                        2, spec)
+
+
+def m3_instance():
+    """A diagonal third ideal in a Klein-style instance: every subgroup
+    law holds and the lattice is bounded, but it is M3."""
+    coords = {"bot": ((), ()), "a": ((0,), (0,)),
+              "b": ((1,), (1,)), "top": ((0, 1), (0, 1))}
+    inst, parts = aligned(Z2, FgGroup((2, 2)), 2, coords)
+    diag = aligned_node("d0", Subgroup(Z2, [[1, 1]]),
+                        Subgroup(FgGroup((2, 2)), [[1, 1]]), parts)
+    return inst, inst.with_added_node(diag, below=["bot"], above=["top"])
+
+
+def n5_instance():
+    """N5 over trivial groups."""
+    triv = FgGroup()
+    zero = GroupHom.zero(triv, triv)
+    order = n5()
+    nodes = [IdealNode(i, Subgroup.zero(triv), Subgroup.zero(triv),
+                       Subgroup.zero(triv)) for i in order.nodes]
+    return KunnethInstance(KData(triv, triv), CoeffGroup(2, triv, zero, zero),
+                           nodes, order)
+
+
+def no_top_instance():
+    """Two maximal ideals over one bottom: no top, so no join of a and
+    b."""
+    coords = {"bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (1,))}
+    return aligned(Z2, FgGroup((2, 4)), 2, coords)[0]
+
+
 EXPECTED_DIAMOND_CHECKS = (
     ["hom-validity:rho_tilde", "hom-validity:beta_tilde", "k0-torsion-free",
      "sequence-exact:rho-injective", "sequence-exact:kernel-image",
@@ -120,9 +160,12 @@ def test_direct_sum_instance_passes_every_check():
     report = validate_instance(inst)
     assert report.ok
     assert report.failures() == []
-    # deterministic: identical instance gives an identical report
+    # deterministic: identical instance gives an identical report, and
+    # the two share their check names
     again, _ = diamond_instance()
     assert validate_instance(again).results == report.results
+    assert all(a.name is b.name
+               for a, b in zip(validate_instance(again), report))
 
 
 def test_k0_torsion_fails_exactly_one_check():
@@ -175,16 +218,8 @@ def test_lattice_law_defect_fails_exactly_the_pair_laws():
 
 
 def test_m3_insertion_fails_only_distributivity():
-    # diagonal third ideal in a Klein-style instance: every subgroup law
-    # still holds, the lattice is bounded, but it contains M3
-    K0, K1 = Z2, FgGroup((2, 2))
-    coords = {"bot": ((), ()), "a": ((0,), (0,)),
-              "b": ((1,), (1,)), "top": ((0, 1), (0, 1))}
-    inst, parts = aligned(K0, K1, 2, coords)
+    inst, mutant = m3_instance()
     assert validate_instance(inst).ok
-    diag = aligned_node("d0", Subgroup(K0, [[1, 1]]),
-                        Subgroup(K1, [[1, 1]]), parts)
-    mutant = inst.with_added_node(diag, below=["bot"], above=["top"])
     report = validate_instance(mutant)
     bad = [r.name for r in report.failures()]
     assert bad == ["lattice-distributive"]
@@ -192,15 +227,9 @@ def test_m3_insertion_fails_only_distributivity():
 
 
 def test_failure_witnesses_are_pinned():
-    # N5 over trivial groups: b2 ^ (a v b1) = b2 ^ 1 = b2, while
-    # (b2 ^ a) v (b2 ^ b1) = 0 v b1 = b1; no earlier triple fails
-    triv = FgGroup()
-    zero = GroupHom.zero(triv, triv)
-    order = n5()
-    nodes = [IdealNode(i, Subgroup.zero(triv), Subgroup.zero(triv),
-                       Subgroup.zero(triv)) for i in order.nodes]
-    inst = KunnethInstance(KData(triv, triv), CoeffGroup(2, triv, zero, zero),
-                           nodes, order)
+    # N5: b2 ^ (a v b1) = b2 ^ 1 = b2, while (b2 ^ a) v (b2 ^ b1) =
+    # 0 v b1 = b1; no earlier triple fails
+    inst = n5_instance()
     assert validate_instance(inst).find("lattice-distributive").witness \
         == "b2 ^ (a v b1) = b2 but (^v^) gives b1"
     # rho_tilde sending both tensor coordinates to one: kernel <(1, 1)>
@@ -216,16 +245,116 @@ def test_failure_witnesses_are_pinned():
 
 
 def test_non_lattice_witnesses_are_pinned():
-    # two maximal ideals over one bottom: no top, so no join of a and b
-    coords = {"bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (1,))}
-    inst, _ = aligned(Z2, FgGroup((2, 4)), 2, coords)
-    failures = {r.name: r.witness for r in validate_instance(inst).failures()}
+    failures = {r.name: r.witness
+                for r in validate_instance(no_top_instance()).failures()}
     assert failures == {
         "top-full": "lattice has no top",
         "lattice-laws:join:a,b": "lattice join of a, b undefined",
         "lattice-shape": "not a bounded lattice (missing bound or meet/join)",
         "lattice-distributive": "not even a bounded lattice",
     }
+
+
+def law_certificate_cases():
+    """(name, instance): random_instance seeds 0-59, dp m = 4 and 8,
+    Boolean k = 3-5, every planted defect that applies to the random
+    seeds and to 2^3, and the non-lattice, non-distributive and
+    non-monotone instances pinned above."""
+    cases = []
+    bases = [("seed %d" % s, random_instance(s)) for s in range(60)]
+    bases.append(("2^3", boolean_instance(3)))
+    for name, inst in bases:
+        cases.append((name, inst))
+        for kind in fixtures.DEFECT_KINDS:
+            try:
+                cases.append(("%s %s" % (name, kind),
+                              fixtures.plant_defect(inst, kind)))
+            except DefectNotApplicableError:
+                pass
+    cases += [("dp %d" % m, dp_truncation(2, m, m - 1)) for m in (4, 8)]
+    cases += [("2^%d" % k, boolean_instance(k)) for k in (4, 5)]
+    diamond, _ = diamond_instance()
+    top = diamond.node("top")
+    shrunk = IdealNode("top", top.K0_sub, basis_sub(FgGroup((2, 4)), (0,)),
+                       top.Kn_sub)
+    cases += [("no top", no_top_instance()), ("N5", n5_instance()),
+              ("M3", m3_instance()[1]),
+              ("shrunk top", diamond.with_replaced_node(shrunk))]
+    return cases
+
+
+def test_law_certificate_agrees_with_the_pairwise_laws(monkeypatch):
+    # where the cover-edge certificate applies (monotone, bounded and
+    # distributive) it fails exactly when some pairwise law does; where
+    # it does not apply it is not run; and either way the report equals
+    # the pairwise path's: same names, order, verdicts and witnesses
+    certify = kunneth._laws_certified
+    verdicts = []
+
+    def spied(inst, edges):
+        verdicts.append(certify(inst, edges))
+        return verdicts[-1]
+
+    seen = collections.Counter()
+    fallback = set()
+    cases = law_certificate_cases()
+    for name, inst in cases:
+        verdicts.clear()
+        monkeypatch.setattr(kunneth, "_laws_certified", spied)
+        report = validate_instance(inst)
+        monkeypatch.setattr(kunneth, "_laws_certified", lambda *args: False)
+        pairwise = validate_instance(inst)
+        assert report.results == pairwise.results, name
+        applies = pairwise.find("lattice-distributive").passed and all(
+            r.passed for r in pairwise if r.name.startswith("monotonicity:"))
+        laws = all(r.passed for r in pairwise
+                   if r.name.startswith("lattice-laws:"))
+        if applies:
+            assert verdicts == [laws], name
+            seen["certified" if laws else "refuted"] += 1
+        else:
+            assert verdicts == [], name
+            fallback.add(name)
+    assert seen["certified"] >= 60 and seen["refuted"] >= 5, seen
+    assert {"no top", "N5", "M3", "shrunk top"} <= fallback
+    assert {name for name, _ in cases
+            if name.endswith("break-distributivity")} <= fallback
+
+
+def test_chain_laws_take_no_meet_or_join_off_the_covers(monkeypatch):
+    # counts, not timing: a chain has no node with two covers, so the
+    # certificate settles its laws without one subgroup meet or join of
+    # two ideals' subgroups that are not a cover pair; the pairwise
+    # path, forced, takes one per pair and component
+    inst = dp_truncation(2, 8, 7)
+    owner = collections.defaultdict(set)
+    for i, node in inst.ideals.items():
+        for sub in (node.K0_sub, node.K1_sub, node.Kn_sub):
+            owner[id(sub)].add(i)
+    covers = set(inst.order.cover_edges())
+    calls = []
+
+    def counted(op):
+        def call(self, other):
+            if id(self) in owner and id(other) in owner:
+                calls.append((owner[id(self)], owner[id(other)]))
+            return op(self, other)
+        return call
+
+    def off_covers():
+        return [(a, b) for a, b in calls
+                if not any((x, y) in covers or (y, x) in covers
+                           for x in a for y in b)]
+
+    monkeypatch.setattr(Subgroup, "meet", counted(Subgroup.meet))
+    monkeypatch.setattr(Subgroup, "join", counted(Subgroup.join))
+    assert validate_instance(inst).ok
+    assert off_covers() == []
+    calls.clear()
+    monkeypatch.setattr(kunneth, "_laws_certified", lambda *args: False)
+    assert validate_instance(inst).ok
+    pairs = len(inst.ideals) * (len(inst.ideals) - 1) // 2
+    assert len(off_covers()) == 2 * 3 * (pairs - len(covers))
 
 
 def test_sub_eq_matches_scan_oracle():

@@ -22,7 +22,6 @@ from idealsplit.errors import (AmbientMismatchError, GluingError,
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image,
                              image_subgroup, kernel, n_torsion_group,
                              tensor_zmod)
-from idealsplit.fixtures import direct_sum_instance
 from idealsplit.kunneth import (CoeffGroup, IdealNode, KData,
                                 KunnethInstance, validate_instance)
 from idealsplit.lattice import IdealLattice
@@ -34,7 +33,7 @@ from idealsplit.splitter import (ComplexIso, SplittingFamily,
 
 from oracles import gamma1_with_pairs
 from test_kunneth import (DIAMOND, Z, Z2, aligned, aligned_node, basis_sub,
-                          diamond_instance, model_parts)
+                          boolean_instance, diamond_instance, model_parts)
 
 E8 = FgGroup((2, 2, 2))
 
@@ -383,16 +382,6 @@ def test_gamma_result_carries_the_certified_complex():
     bad, _ = aligned(FgGroup((), 2), FgGroup((2, 2)), 2, coords)
     res = check_gamma_exact(bad, "top", ["a", "b"])
     assert not res.ok and res.complex is None
-
-
-def boolean_instance(k):
-    """Every coordinate subset of range(k) as an ideal, in K0 = Z^k and
-    K1 = (Z/2)^k at once: the Boolean lattice 2^k."""
-    spec = {}
-    for mask in range(1, 2 ** k - 1):
-        idx = tuple(i for i in range(k) if mask >> i & 1)
-        spec["s%d" % mask] = (idx, idx)
-    return direct_sum_instance(FgGroup((), k), FgGroup((2,) * k), 2, spec)
 
 
 def test_glue_builds_its_gamma_complex_once(monkeypatch):
