@@ -17,7 +17,7 @@ import sys
 
 from .errors import (IdealSplitError, SchemaError, SizeBoundError,
                      SplittingObstructionError)
-from .fileformat import (dumps_canonical, instance_from_json,
+from .fileformat import (MAX_RANK, dumps_canonical, instance_from_json,
                          instance_to_json, iso_input_from_json, iso_to_json,
                          load_file, save_file, splitting_to_json)
 from .fixtures import (COEFFICIENTS, DEFECT_KINDS, dp_truncation,
@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
+
+# Largest --p that gen dp accepts: dp_truncation tests primality by
+# trial division, whose time grows as the square root of p.
+MAX_DP_PRIME = 10 ** 9
 
 
 def _load_instance(path):
@@ -151,6 +155,14 @@ def cmd_gen(args):
     elif args.gen_kind == "dp":
         if args.p is None or args.m is None or args.k is None:
             raise SchemaError("gen dp needs --p, --m and --k")
+        # checked before anything is built: Kn has rank 2m + 1 and its
+        # maps are dense
+        if args.p > MAX_DP_PRIME:
+            raise SchemaError("--p %d exceeds the limit %d"
+                              % (args.p, MAX_DP_PRIME))
+        if 2 * args.m + 1 > MAX_RANK:
+            raise SchemaError("--m %d gives Kn rank %d, over the limit %d"
+                              % (args.m, 2 * args.m + 1, MAX_RANK))
         try:
             inst = dp_truncation(args.p, args.m, args.k)
         except ValueError as exc:

@@ -90,8 +90,13 @@ def direct_sum_instance(K0, K1, n, spec):
     coordinate pairs closed under componentwise intersection and union
     (a ring of sets) certify the instance valid: the lattice is
     distributive, coordinate subgroups are pure summands, and the
-    direct-sum row gives naturality and exactness.  Only a spec that
-    fails this rule is validated, to reject it with the failing checks.
+    direct-sum row gives naturality and exactness.  Any other spec
+    never validates.  A K0 with torsion fails ``k0-torsion-free``.
+    Otherwise coordinate subgroups join by union and meet by
+    intersection, and distinct index sets give distinct subgroups, so
+    at a pair whose union or intersection is missing from the spec the
+    lattice law fails.  Such a spec is validated only to word the
+    LatticeError with the failing checks.
     """
     model = sum_model(K0, K1, n)
     coords = {}
@@ -119,12 +124,9 @@ def direct_sum_instance(K0, K1, n, spec):
             (a0 & b0, a1 & b1) in ring and (a0 | b0, a1 | b1) in ring
             for a0, a1 in ring for b0, b1 in ring):
         return inst
-    report = validate_instance(inst)
-    if not report.ok:
-        raise LatticeError(
-            "spec does not describe a valid instance: %s"
-            % ", ".join(r.name for r in report.failures()))
-    return inst
+    raise LatticeError(
+        "spec does not describe a valid instance: %s"
+        % ", ".join(r.name for r in validate_instance(inst).failures()))
 
 
 def twist_instance(inst, h):
@@ -512,9 +514,8 @@ def _candidates_distributivity(inst, model):
     if model is None:
         return
     for i, j in _incomparable_pairs(inst):
+        # the base validated, so it is a lattice: m and u exist
         m, u = inst.order.meet(i, j), inst.order.join(i, j)
-        if m is None or u is None:
-            continue
         nm = inst.node(m)
         d0 = _diagonal(inst.node(i).K0_sub, inst.node(j).K0_sub,
                        nm.K0_sub, inst.data.K0)

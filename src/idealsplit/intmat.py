@@ -309,17 +309,15 @@ def reduce_vector(vec, basis, track=False):
     ``vec + lattice`` whose pivot coordinates lie in ``[0, pivot)``, and
     reduction to zero is exactly lattice membership.  The basis rows are
     independent, so the quotients of a member are its unique coordinates.
-    The pivots of a canonical basis strictly increase, so the search for
-    each row's pivot resumes just after the previous one.
+    The rows of a canonical basis are nonzero and their pivots strictly
+    increase, so the search for each row's pivot resumes just after the
+    previous one.
     """
     w = list(vec)
     coeffs = []
     start = 0
     for row in basis:
-        pj = next((j for j in range(start, len(row)) if row[j]), None)
-        if pj is None:
-            coeffs.append(0)
-            continue
+        pj = next(j for j in range(start, len(row)) if row[j])
         start = pj + 1
         q = w[pj] // row[pj]
         if q:

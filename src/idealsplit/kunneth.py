@@ -100,7 +100,8 @@ class KunnethInstance:
 
     Construction checks structure only: every subgroup lives in the
     right ambient and the node ids coincide with the lattice nodes.
-    Everything semantic is validate_instance's business.
+    Everything semantic is validate_instance's business.  Instances
+    compare by identity, like the memo of derived data they carry.
     """
 
     __slots__ = ("data", "coeff", "ideals", "order", "_cache")
@@ -138,15 +139,6 @@ class KunnethInstance:
 
     def __setattr__(self, name, value):
         raise AttributeError("KunnethInstance is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, KunnethInstance)
-                and self.data == other.data and self.coeff == other.coeff
-                and self.ideals == other.ideals and self.order == other.order)
-
-    def __hash__(self):
-        return hash((self.data, self.coeff,
-                     tuple(sorted(self.ideals.items())), self.order))
 
     def node(self, id):
         if id not in self.ideals:
@@ -319,28 +311,22 @@ def _components(*nodes):
 
 def _laws_certified(inst, edges):
     """True when every node with two or more lower covers carries the
-    join of their subgroups, and every node with two or more upper
-    covers the meet of theirs, in K0, K1 and Kn; False when one does not
-    or a subgroup operation raises an IdealSplitError."""
+    join of the subgroups at its first two, and every node with two or
+    more upper covers the meet of those at its first two, in K0, K1 and
+    Kn; False when one does not."""
     lower = {x: [] for x in inst.order.nodes}
     upper = {x: [] for x in inst.order.nodes}
     for lo, hi in edges:
         lower[hi].append(lo)
         upper[lo].append(hi)
-    try:
-        for covers, op in ((lower, "join"), (upper, "meet")):
-            for x, near in covers.items():
-                if len(near) < 2:
-                    continue
-                for _, here, *subs in _components(
-                        inst.node(x), *(inst.node(c) for c in near)):
-                    acc = subs[0]
-                    for sub in subs[1:]:
-                        acc = getattr(acc, op)(sub)
-                    if acc != here:
-                        return False
-    except IdealSplitError:
-        return False
+    for covers, op in ((lower, "join"), (upper, "meet")):
+        for x, near in covers.items():
+            if len(near) < 2:
+                continue
+            for _, here, c1, c2 in _components(
+                    inst.node(x), inst.node(near[0]), inst.node(near[1])):
+                if getattr(c1, op)(c2) != here:
+                    return False
     return True
 
 
@@ -359,12 +345,12 @@ def validate_instance(inst):
     of ideals, are first settled together by a certificate on the cover
     edges.  It applies when every ``monotonicity`` check has passed and
     the order is a bounded distributive lattice, and it holds when every
-    node with two or more lower covers carries the join of their
-    subgroups, and every node with two or more upper covers the meet of
-    theirs, in each of K0, K1 and Kn.  Then every pairwise law holds
-    and is recorded as passed.  When the certificate does not apply,
-    fails or raises an IdealSplitError, each pair is checked on its own,
-    which gives the same verdicts and words the witnesses.
+    node with two or more lower covers carries the join of the subgroups
+    at its first two, and every node with two or more upper covers the
+    meet of those at its first two, in each of K0, K1 and Kn.  Then
+    every pairwise law holds and is recorded as passed.  When the
+    certificate does not apply or fails, each pair is checked on its
+    own, which gives the same verdicts and words the witnesses.
 
     Why the certificate decides the laws: let f map each node to its
     subgroup in one of K0, K1, Kn, and write + for the join of
@@ -375,14 +361,15 @@ def validate_instance(inst):
     single one would lie above a and b and hence above x.  Each lower
     cover c is c ^ (a v b) = (c ^ a) v (c ^ b) by distributivity and
     lies below x, so by induction f(c) <= f(c ^ a) + f(c ^ b) <= f(a) +
-    f(b), and f(x), the join of f over those covers, is <= f(a) + f(b).
-    Meets are dual: induct downwards on a ^ b, whose upper covers c are
-    c v (a ^ b) = (c v a) ^ (c v b).  Conversely, when every pairwise
-    law holds, two distinct lower covers c, c' of x join to x, so f(x) =
-    f(c) + f(c') <= (join of f over the lower covers) <= f(x), and
-    dually for meets: the certificate fails exactly when some pairwise
-    law does.  It costs at most one subgroup join or meet per cover edge
-    and component, where the pairwise laws cost two per pair of ideals.
+    f(b), and f(x) = f(c1) + f(c2) for any two distinct lower covers c1,
+    c2 is <= f(a) + f(b).  Meets are dual: induct downwards on a ^ b,
+    whose upper covers c are c v (a ^ b) = (c v a) ^ (c v b).
+    Conversely, when every pairwise law holds, two distinct lower covers
+    c1, c2 of x join to x, so f(x) = f(c1) + f(c2), and dually for
+    meets: the certificate fails exactly when some pairwise law does.
+    It costs one subgroup join per node with two or more lower covers
+    and one meet per node with two or more upper covers, per component,
+    where the pairwise laws cost two per pair of ideals.
     """
     results = []
     run = check_runner(results)

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from idealsplit.cli import main
+from idealsplit.errors import SplittingObstructionError
 from idealsplit.fgab import FgGroup, GroupHom
 from idealsplit.fileformat import (dumps_canonical, instance_from_json,
                                    instance_to_json, iso_input_to_json,
@@ -12,7 +17,7 @@ from idealsplit.fileformat import (dumps_canonical, instance_from_json,
                                    splitting_from_json)
 from idealsplit.fixtures import (direct_sum_instance, dp_truncation,
                                  random_instance, transported_instance)
-from idealsplit.splitter import verify_ideal_splitting
+from idealsplit.splitter import SplittingFamily, verify_ideal_splitting
 from test_fixtures import K24, Z1, Z2, diamond24, same_nodes
 from test_kunneth import Z, natural_family
 
@@ -250,6 +255,51 @@ def test_split_oracle_on_obstructed_instance(tmp_path, capsys):
     assert "DISAGREEMENT" not in err
 
 
+def zero_family(inst):
+    """The zero map at every ideal: a section only where K1(I)[n] is 0."""
+    return SplittingFamily({
+        i: GroupHom.zero(inst.torsion_sub(i).as_group()[0], inst.coeff.Kn)
+        for i in inst.order.nodes})
+
+
+def test_split_oracle_catches_a_builder_that_says_no(tmp_path, capsys,
+                                                     monkeypatch):
+    # bug guard: a builder that reports an obstruction where sections
+    # exist is an exit 3, not a "no"
+    def obstructed(inst, validate=True):
+        raise SplittingObstructionError("planted", ideal="top")
+
+    monkeypatch.setattr("idealsplit.cli.build_ideal_splitting", obstructed)
+    path = write_instance(tmp_path, diamond24())
+    assert main(["split", path, "--oracle"]) == 3
+    assert capsys.readouterr().err == (
+        "ORACLE DISAGREEMENT: builder found no splitting but 4 "
+        "ideal-respecting sections exist\n")
+
+
+def test_split_catches_a_builder_that_returns_no_section(tmp_path, capsys,
+                                                         monkeypatch):
+    # bug guard: a family that is no splitting is stopped by the oracle
+    # (exit 3) or, without it, by the verifier (exit 1), and never
+    # written out
+    monkeypatch.setattr("idealsplit.cli.build_ideal_splitting",
+                        lambda inst, validate=True: zero_family(inst))
+    path = write_instance(tmp_path, diamond24())
+    assert main(["split", path, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "ORACLE DISAGREEMENT: built section is outside the feasible "
+        "set\n")
+    assert main(["split", path]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert [line for line in out if not line.startswith("ok   ")] == [
+        "FAIL splitting-identity:%s: beta_tilde . sigma != id on "
+        "K1(%s)[n]" % (i, i) for i in ("a", "b", "top")] \
+        + ["3 of 17 checks failed"]
+    assert captured.err == ""
+
+
 # --- lift --------------------------------------------------------------------
 
 def test_lift_identity_writes_identity(tmp_path, capsys):
@@ -359,6 +409,20 @@ def test_gen_bad_params(capsys):
     assert capsys.readouterr().err \
         == "error: need m >= 1 and 0 <= k_max <= m\n"
     assert main(["gen", "dp", "--p", "2"]) == 2
+    assert capsys.readouterr().err \
+        == "error: gen dp needs --p, --m and --k\n"
+    # refused before anything is built: a Kn rank that no document may
+    # declare, and a p too large to test for primality by trial division
+    assert main(["gen", "dp", "--p", "2", "--m", "520", "--k", "0"]) == 2
+    assert capsys.readouterr().err \
+        == "error: --m 520 gives Kn rank 1041, over the limit 1024\n"
+    assert main(["gen", "dp", "--p", "2", "--m", "512", "--k", "0"]) == 2
+    assert capsys.readouterr().err \
+        == "error: --m 512 gives Kn rank 1025, over the limit 1024\n"
+    assert main(["gen", "dp", "--p", "100000000000000000039", "--m", "1",
+                 "--k", "0"]) == 2
+    assert capsys.readouterr().err == ("error: --p 100000000000000000039 "
+                                       "exceeds the limit 1000000000\n")
     assert main(["gen", "defect"]) == 2
     assert main(["gen", "aligned", "--coeffs", "x"]) == 2
     assert main(["gen", "aligned", "--coeffs", "1,2"]) == 2
@@ -431,3 +495,16 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+
+
+def test_module_entry_point_runs_main():
+    # `python -m idealsplit.cli` goes through entry(), the console-script
+    # hook, which exits with main's return code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "idealsplit.cli", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: idealsplit ")

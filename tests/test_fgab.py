@@ -17,6 +17,7 @@ from idealsplit import fgab, intmat
 from idealsplit.errors import (
     AmbientMismatchError,
     HomDefinitionError,
+    NotSubgroupError,
     SizeBoundError,
 )
 from idealsplit.fixtures import dp_truncation, random_instance
@@ -110,6 +111,61 @@ def test_group_immutable():
     g = fgab.FgGroup((2,))
     with pytest.raises(AttributeError):
         g.free_rank = 3
+
+
+def test_errors_and_reprs_are_pinned():
+    z2, z4, klein = fgab.FgGroup((2,)), fgab.FgGroup((4,)), \
+        fgab.FgGroup((2, 2))
+    f = fgab.GroupHom(z2, z4, [[2]])
+    sub = fgab.Subgroup(klein, [(1, 0)])
+    assert [repr(g) for g in (fgab.FgGroup(), Z, fgab.FgGroup((), 2),
+                              fgab.FgGroup((2, 4), 1))] == [
+        "FgGroup(0)", "FgGroup(Z)", "FgGroup(Z^2)", "FgGroup(Z/2 + Z/4 + Z)"]
+    assert repr(f) == "GroupHom(FgGroup(Z/2) -> FgGroup(Z/4), [[2]])"
+    assert repr(sub) == "Subgroup(FgGroup(Z/2 + Z/2), [[1, 0], [0, 2]])"
+    cases = [
+        (lambda: z4.reduce((1, 2)), ValueError,
+         "element has 2 coordinates, expected 1"),
+        (lambda: fgab.GroupHom(z2, z4, [[1, 0]]), HomDefinitionError,
+         "matrix shape does not match 1x1"),
+        (lambda: setattr(f, "matrix", ((0,),)), AttributeError,
+         "GroupHom is immutable"),
+        (lambda: fgab.GroupHom.from_images(z2, z4, []), HomDefinitionError,
+         "need 1 generator images, got 0"),
+        (lambda: f @ 3, TypeError,
+         "unsupported operand type(s) for @: 'GroupHom' and 'int'"),
+        (lambda: f + 3, TypeError,
+         "unsupported operand type(s) for +: 'GroupHom' and 'int'"),
+        (lambda: f + fgab.GroupHom.zero(z4, z4), AmbientMismatchError,
+         "sum of homs with different ends"),
+        (lambda: setattr(sub, "ambient", z4), AttributeError,
+         "Subgroup is immutable"),
+        (lambda: sub.contains((1,)), AmbientMismatchError,
+         "element size does not match ambient"),
+        (lambda: fgab.image_subgroup(f, sub), AmbientMismatchError,
+         "subgroup does not live in the hom domain"),
+        (lambda: fgab.preimage_subgroup(f, sub), AmbientMismatchError,
+         "subgroup does not live in the hom codomain"),
+        (lambda: fgab.n_torsion_group(z4, 0), ValueError,
+         "modulus must be positive"),
+        (lambda: fgab.solve_hom(z2, z4, left_constraints=[(f, f)]),
+         AmbientMismatchError, "left constraint ends do not line up"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_a_basis_without_its_relation_rows_is_caught():
+    # bug guard: a canonical basis always holds the ambient relations;
+    # one stripped of them (only a bug could build it) must not be read
+    # off as a group
+    sub = fgab.Subgroup(fgab.FgGroup((4,)), [])
+    object.__setattr__(sub, "generators", ())
+    with pytest.raises(NotSubgroupError) as info:
+        sub.as_group()
+    assert str(info.value) == "ambient relation escaped the lattice"
 
 
 # --- snf / presentations -------------------------------------------------

@@ -1,6 +1,7 @@
 """Round-trip and strictness tests for the JSON file format."""
 
 import json
+import os
 
 import pytest
 
@@ -71,6 +72,30 @@ def test_save_and_load(tmp_path):
     save_file(str(path), doc)
     assert path.read_text(encoding="utf-8") == text
     assert list(tmp_path.iterdir()) == [path]
+
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the target is a directory, so the final rename fails; the temp
+    # file is removed and the error propagates
+    doc = instance_to_json(diamond24())
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_file(str(target), doc)
+    assert list(tmp_path.iterdir()) == [target]
+
+    # a temp file that is already gone when the rename fails is no
+    # second error: the rename's error is the one raised
+    def vanish(src, dst):
+        os.unlink(src)
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(fileformat.os, "replace", vanish)
+    with pytest.raises(PermissionError) as info:
+        save_file(str(tmp_path / "inst.json"), doc)
+    assert str(info.value) == "rename refused"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_unknown_keys_rejected():
@@ -345,6 +370,13 @@ def test_family_block_bad_keys():
         doc["coherent_family"]["sigmas"]["2"]
     with pytest.raises(SchemaError, match="not in the family"):
         instance_from_json(doc)
+    doc = json.loads(json.dumps(instance_to_json(inst, family=fam)))
+    doc["coherent_family"]["sigmas"]["two"] = \
+        doc["coherent_family"]["sigmas"].pop("2")
+    with pytest.raises(SchemaError) as info:
+        instance_from_json(doc)
+    assert str(info.value) == \
+        "instance.coherent_family.sigmas: bad coefficient key 'two'"
 
 
 def test_library_errors_keep_their_schema_location():

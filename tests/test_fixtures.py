@@ -65,6 +65,12 @@ def test_direct_sum_instance_keeps_named_ends():
     assert tuple(inst.order.nodes) == ("a", "all", "b", "zero")
     assert inst.order.bottom() == "zero"
     assert inst.order.top() == "all"
+    # "bot" and "bot0" name atoms here, so the inserted bottom is "bot1"
+    inst = direct_sum_instance(Z2, FgGroup(), 2,
+                               {"bot": ((0,), ()), "bot0": ((1,), ())})
+    assert inst.order.nodes == ("bot", "bot0", "bot1", "top")
+    assert (inst.order.bottom(), inst.order.top()) == ("bot1", "top")
+    assert validate_instance(inst).ok
 
 
 def test_direct_sum_instance_bad_index():
@@ -305,6 +311,20 @@ def test_dp_rejects_bad_parameters():
         dp_truncation(2, 2, 3)
     with pytest.raises(ValueError):
         dp_truncation(2, 2, -1)
+    # 1 is below every prime; 9 passes the division by 2 and fails at 3
+    for p in (1, 9):
+        with pytest.raises(ValueError) as info:
+            dp_truncation(p, 1, 0)
+        assert str(info.value) == "p must be prime, got %d" % p
+    assert validate_instance(dp_truncation(5, 1, 0)).ok
+
+
+def test_random_instance_gives_up_past_its_attempt_budget(monkeypatch):
+    # every candidate's |Kn| is at least 1, so none fits an order bound 0
+    monkeypatch.setattr(fixtures, "MAX_ORDER", 0)
+    with pytest.raises(LatticeError) as info:
+        random_instance(0)
+    assert str(info.value) == "no instance found within the attempt budget"
 
 
 # --- randomized generation ---------------------------------------------------
@@ -436,6 +456,10 @@ def test_plant_defect_not_applicable():
         plant_defect(dp_truncation(2, 2, 1), "break-naturality")
     with pytest.raises(DefectNotApplicableError):
         plant_defect(dp_truncation(2, 2, 1), "break-purity")
+    for kind in ("break-lattice-law", "break-distributivity"):
+        with pytest.raises(DefectNotApplicableError) as info:
+            plant_defect(dp_truncation(2, 2, 1), kind)
+        assert str(info.value) == "no %s mutation applies here" % kind
     # the (2, 4) torsion has no equal-order diagonal, and the K0-only
     # diagonal breaks the join laws, so nothing survives verification
     with pytest.raises(DefectNotApplicableError):

@@ -471,6 +471,21 @@ def test_solve_congruences_shape_errors():
         intmat.solve_congruences([[1]], [1], [2], 1, [2, 2])
 
 
+def test_matrix_shape_errors_are_pinned():
+    cases = [
+        (lambda: intmat.shape([[1, 2], [3]]), "ragged matrix"),
+        (lambda: intmat.shape([[1, 2]], cols=3),
+         "column count mismatch: 3 != 2"),
+        (lambda: intmat.transpose([]),
+         "zero-row matrix needs an explicit column count"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert intmat.transpose([], cols=2) == [[], []]
+
+
 # --- property tests ----------------------------------------------------
 
 small_entries = st.integers(min_value=-12, max_value=12)

@@ -357,6 +357,33 @@ def test_chain_laws_take_no_meet_or_join_off_the_covers(monkeypatch):
     assert len(off_covers()) == 2 * 3 * (pairs - len(covers))
 
 
+def test_law_certificate_takes_one_operation_per_node_and_component(
+        monkeypatch):
+    # counts, not timing: on a valid 2^4 the certificate joins the first
+    # two lower covers of each node with two or more of them, and meets
+    # the first two upper covers of each node with two or more, once in
+    # each of K0, K1 and Kn
+    inst = boolean_instance(4)
+    edges = inst.order.cover_edges()
+    lower = collections.Counter(hi for _, hi in edges)
+    upper = collections.Counter(lo for lo, _ in edges)
+    calls = collections.Counter()
+
+    def counted(op):
+        def call(self, other):
+            calls[op.__name__] += 1
+            return op(self, other)
+        return call
+
+    monkeypatch.setattr(Subgroup, "meet", counted(Subgroup.meet))
+    monkeypatch.setattr(Subgroup, "join", counted(Subgroup.join))
+    assert kunneth._laws_certified(inst, edges)
+    joins = 3 * sum(1 for c in lower.values() if c >= 2)
+    meets = 3 * sum(1 for c in upper.values() if c >= 2)
+    assert (joins, meets) == (33, 33)
+    assert calls == {"join": joins, "meet": meets}
+
+
 def test_sub_eq_matches_scan_oracle():
     # _gap words each side's witness like the oracle does
     def left(g):
@@ -517,6 +544,69 @@ def test_constructor_rejects_structural_breakage():
         inst.with_added_node(nodes[0], below=[], above=[])
 
 
+def test_constructor_and_lookup_errors_are_pinned():
+    inst, _ = diamond_instance()
+    data, coeff, order = inst.data, inst.coeff, inst.order
+    nodes = list(inst.ideals.values())
+    other = FgGroup((), 3)
+
+    def moved(tag):
+        # node "a" with its K1 or Kn data in a group of the wrong shape
+        a = inst.node("a")
+        subs = {"K0": a.K0_sub, "K1": a.K1_sub, "Kn": a.Kn_sub}
+        subs[tag] = basis_sub(other, (0,))
+        return [IdealNode("a", subs["K0"], subs["K1"], subs["Kn"])] \
+            + [x for x in nodes if x.id != "a"]
+
+    cases = [
+        (lambda: KunnethInstance(None, coeff, nodes, order), TypeError,
+         "data must be a KData"),
+        (lambda: KunnethInstance(data, None, nodes, order), TypeError,
+         "coeff must be a CoeffGroup"),
+        (lambda: KunnethInstance(data, coeff, nodes, None), TypeError,
+         "order must be an IdealLattice"),
+        (lambda: KunnethInstance(data, coeff, nodes + ["e"], order),
+         TypeError, "ideals must be IdealNode instances"),
+        (lambda: KunnethInstance(data, coeff, moved("K1"), order),
+         AmbientMismatchError, "K1 data of 'a' lives in the wrong group"),
+        (lambda: KunnethInstance(data, coeff, moved("Kn"), order),
+         AmbientMismatchError, "Kn data of 'a' lives in the wrong group"),
+        (lambda: inst.node("ghost"), LatticeError,
+         "unknown ideal id 'ghost'"),
+        (lambda: setattr(inst, "order", order), AttributeError,
+         "KunnethInstance is immutable"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    # no value equality: an instance is equal only to itself
+    twin = KunnethInstance(data, coeff, nodes, order)
+    assert twin != inst and hash(twin) == object.__hash__(twin)
+
+
+def test_hom_validity_pins_all_four_witnesses():
+    # only a CoeffGroup built in the library reaches these: a document's
+    # maps get their ends from the file's groups
+    inst, parts = diamond_instance()
+    coeff, Kn, z2 = inst.coeff, inst.coeff.Kn, FgGroup((2,))
+    cases = [
+        (CoeffGroup(2, Kn, GroupHom.zero(z2, Kn), coeff.beta_tilde),
+         "hom-validity:rho_tilde", "domain is not K0 (x) Z/2"),
+        (CoeffGroup(2, Kn, GroupHom.zero(parts.T, z2), coeff.beta_tilde),
+         "hom-validity:rho_tilde", "codomain is not Kn"),
+        (CoeffGroup(2, Kn, coeff.rho_tilde, GroupHom.zero(z2, parts.T1)),
+         "hom-validity:beta_tilde", "domain is not Kn"),
+        (CoeffGroup(2, Kn, coeff.rho_tilde, GroupHom.zero(Kn, z2)),
+         "hom-validity:beta_tilde", "codomain is not K1[2]"),
+    ]
+    for bad, name, witness in cases:
+        report = validate_instance(KunnethInstance(
+            inst.data, bad, list(inst.ideals.values()), inst.order))
+        check = report.find(name)
+        assert (check.passed, check.witness) == (False, witness)
+
+
 def test_records_are_frozen_and_keep_their_equality():
     inst, _ = diamond_instance()
     data, coeff, node = inst.data, inst.coeff, inst.node("a")
@@ -588,6 +678,10 @@ def test_a_bug_in_a_check_propagates(monkeypatch):
 def test_report_helpers():
     inst, _ = diamond_instance()
     report = validate_instance(inst)
+    assert repr(report) == "ValidationReport(%d checks, 0 failed)" \
+        % len(report)
+    assert repr(validate_instance(dp_truncation(2, 1, 1))) \
+        == "ValidationReport(50 checks, 1 failed)"
     assert report.find("lattice-shape").passed
     with pytest.raises(KeyError):
         report.find("no-such-check")
@@ -872,3 +966,40 @@ def test_family_structural_validation():
     with pytest.raises(MissingMapError):
         CoherentFamily(fam.data, fam.coeffs,
                        {(8, 2): fam.kappa[(4, 2)]}, {}, None)
+    data, coeffs, kappa, lam, sigmas = (fam.data, fam.coeffs, fam.kappa,
+                                        fam.lam, fam.sigmas)
+    c2 = coeffs[2]
+    other = FgGroup((), 3)
+
+    def with_coeff(cg):
+        return {2: cg, 4: coeffs[4]}
+
+    cases = [
+        (lambda: CoherentFamily(None, coeffs, kappa), TypeError,
+         "data must be a KData"),
+        (lambda: CoherentFamily(data, {3: c2, 4: coeffs[4]}, kappa),
+         ValueError, "coefficient key 3 does not match"),
+        (lambda: CoherentFamily(data, with_coeff(CoeffGroup(
+            2, c2.Kn, GroupHom.zero(other, c2.Kn), c2.beta_tilde)), kappa),
+         HomDefinitionError, "rho_tilde at 2 has wrong shape"),
+        (lambda: CoherentFamily(data, with_coeff(CoeffGroup(
+            2, c2.Kn, c2.rho_tilde, GroupHom.zero(c2.Kn, other))), kappa),
+         HomDefinitionError, "beta_tilde at 2 has wrong shape"),
+        (lambda: CoherentFamily(data, coeffs, kappa,
+                                {(4, 2): GroupHom.zero(other, other)}),
+         HomDefinitionError, "lambda[4,2] must map K1[2] to K1[4]"),
+        (lambda: CoherentFamily(data, coeffs, kappa, lam,
+                                {8: sigmas[2]}),
+         MissingSigmaError, "sigma at 8 outside family"),
+        (lambda: CoherentFamily(data, coeffs, kappa, lam,
+                                {2: sigmas[4], 4: sigmas[4]}),
+         HomDefinitionError, "sigma at 2 must map K1[2] to K2"),
+        (lambda: setattr(fam, "lam", {}), AttributeError,
+         "CoherentFamily is immutable"),
+        (lambda: CoherentFamily(data, {2: c2}, {}).kappa_at(2, 2),
+         MissingMapError, "kappa[2,2] is missing"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message

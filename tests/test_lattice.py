@@ -142,6 +142,15 @@ def test_equality_ignores_edge_presentation():
     assert direct != diamond()
 
 
+def test_immutability_and_repr_are_pinned():
+    lat = chain3()
+    with pytest.raises(AttributeError) as info:
+        lat.nodes = ()
+    assert str(info.value) == "IdealLattice is immutable"
+    assert repr(lat) \
+        == "IdealLattice(['0', '1', '2'], [('0', '1'), ('1', '2')])"
+
+
 def test_next_ideal_examples():
     lat = diamond()
     assert lat.next_ideal(set()) == "bot"

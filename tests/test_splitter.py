@@ -282,6 +282,54 @@ def test_glue_rejects_a_part_whose_image_escapes():
     assert str(info.value) == "sigma image escapes Kn(a)"
 
 
+def test_glue_rejects_a_part_with_the_wrong_domain():
+    inst, parts = diamond_instance()
+    sigmas = {"a": GroupHom.zero(parts.T1, inst.coeff.Kn),
+              "b": natural_sigma(inst, parts, "b")}
+    with pytest.raises(NotASplittingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == "sigma for 'a' has the wrong domain or codomain"
+
+
+def test_glue_guards_a_missing_gamma0_preimage(monkeypatch):
+    # bug guard: the certified complex is exact, so every element of
+    # K1(top)[n] has a Gamma0 preimage; a solver that finds none is caught
+    inst, _ = diamond_instance()
+    monkeypatch.setattr(splitter, "hom_preimage", lambda f, target: None)
+    with pytest.raises(GluingError) as info:
+        build_ideal_splitting(inst)
+    assert str(info.value) == "no Gamma0 preimage for (1, 0)"
+
+
+def shrunk_kn(inst, id):
+    """inst with Kn(id) cut down to the rho_tilde image of K0(id): the
+    monotonicity on the cover edges into id breaks, and with it every
+    section's containment at id."""
+    node = inst.node(id)
+    return inst.with_replaced_node(
+        IdealNode(id, node.K0_sub, node.K1_sub, inst.rho_image(id)))
+
+
+def test_unvalidated_build_certifies_each_step():
+    # without validation, a Kn that drops below its lower covers is met
+    # by the step that reads it: the extension finds no target for the
+    # old section, and the glued map fails its own section check
+    chain, _ = aligned(Z2, FgGroup((2, 4)), 2,
+                       {"bot": ((), ()), "a": ((0,), (0,)),
+                        "top": ((0, 1), (0, 1))})
+    diamond, _ = diamond_instance()
+    for inst, message in (
+            (chain, "no extension of the section at 'a' to 'top'"),
+            (diamond, "glued map is not a section at 'top': "
+             "sigma image escapes Kn(top)")):
+        bad = shrunk_kn(inst, "top")
+        assert "monotonicity:a<top" in [
+            r.name for r in validate_instance(bad).failures()]
+        with pytest.raises((SplittingObstructionError, GluingError)) as info:
+            build_ideal_splitting(bad, validate=False)
+        assert str(info.value) == message
+
+
 def test_glue_comaximal_diamond():
     inst, parts = diamond_instance()
     sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
@@ -490,6 +538,20 @@ def test_verify_pins_the_containment_witness():
          "sigma at top restricted to K1(a)[n] differs from sigma at a")]
 
 
+def test_verify_pins_the_family_domain_witnesses():
+    inst, parts = diamond_instance()
+    fam = build_ideal_splitting(inst)
+    broken = dict(fam.sigmas)
+    broken["a"] = GroupHom.zero(parts.T1, inst.coeff.Kn)
+    g_b, _, _ = inst.torsion_sub("b").as_group()
+    broken["b"] = GroupHom.zero(g_b, parts.T1)
+    report = verify_ideal_splitting(inst, SplittingFamily(broken))
+    assert [(r.name, r.witness) for r in report.failures()
+            if r.name.startswith("family-domain:")] == [
+        ("family-domain:a", "domain is not K1(a)[n]"),
+        ("family-domain:b", "codomain is not Kn")]
+
+
 def test_verify_flags_missing_sigma():
     inst, _ = diamond_instance()
     fam = build_ideal_splitting(inst)
@@ -693,6 +755,49 @@ def test_lift_rejects_bad_pairing():
         lift_isomorphism(inst, inst, phi0, phi1, {"bot": "bot"})
 
 
+def test_lift_hypothesis_errors_are_pinned():
+    inst, _ = diamond_instance()
+    K0, K1 = inst.data.K0, inst.data.K1
+    phi0, phi1 = GroupHom.identity(K0), GroupHom.identity(K1)
+    same = identity_pairing(inst)
+    # an automorphism of Z/2 + Z/4 that moves K1(a) = <(1, 0)>
+    shear = GroupHom(K1, K1, [[1, 0], [2, 1]])
+    cases = [
+        (phi0, phi1, dict(same, b="a"), "pairing values are not B's ideals"),
+        (phi0, phi1, dict(same, bot="top", top="bot"),
+         "pairing does not preserve order at (a, bot)"),
+        (phi0, shear, same, "phi1 K1(a) differs from K1(a)"),
+        (GroupHom.identity(FgGroup((), 3)), phi1, same,
+         "phi0 must map K0(A) to K0(B)"),
+        (phi0, GroupHom.identity(FgGroup((2, 2))), same,
+         "phi1 must map K1(A) to K1(B)"),
+    ]
+    for f0, f1, pairing, message in cases:
+        with pytest.raises(LiftHypothesisError) as info:
+            lift_isomorphism(inst, inst, f0, f1, pairing)
+        assert str(info.value) == message
+
+
+def test_lift_guards_a_source_map_that_is_not_a_section(monkeypatch):
+    # bug guard: x - sigma(beta x) lies in ker beta_tilde = im rho_tilde
+    # for a section sigma; a full_section that returns the zero map
+    # leaves the second generator of Kn unsplit
+    inst, _ = diamond_instance()
+    real = splitter.full_section
+
+    def zero_section(instance, fam):
+        sec = real(instance, fam)
+        return GroupHom.zero(sec.domain, sec.codomain)
+
+    monkeypatch.setattr(splitter, "full_section", zero_section)
+    with pytest.raises(LiftHypothesisError) as info:
+        lift_isomorphism(inst, inst, GroupHom.identity(inst.data.K0),
+                         GroupHom.identity(inst.data.K1),
+                         identity_pairing(inst))
+    assert str(info.value) \
+        == "element (0, 0, 1, 0) is not split by the source family"
+
+
 def test_lift_rejects_non_iso():
     inst, parts = diamond_instance()
     phi1 = GroupHom.identity(inst.data.K1)
@@ -796,3 +901,15 @@ def test_lift_rejects_a_middle_map_off_the_rho_square(monkeypatch):
     with pytest.raises(LiftHypothesisError) as info:
         lift_through(monkeypatch, theta)
     assert str(info.value) == "phi does not commute with rho_tilde"
+
+
+def test_lift_rejects_a_middle_map_off_the_beta_square(monkeypatch):
+    # id + i2 . beta_tilde keeps the rho square and doubles beta_tilde,
+    # which is zero on K1[2]
+    inst, parts = diamond_instance()
+    theta = (GroupHom.identity(inst.coeff.Kn)
+             + parts.i2 @ inst.coeff.beta_tilde)
+    assert theta @ inst.coeff.rho_tilde == inst.coeff.rho_tilde
+    with pytest.raises(LiftHypothesisError) as info:
+        lift_through(monkeypatch, theta)
+    assert str(info.value) == "phi does not commute with beta_tilde"
