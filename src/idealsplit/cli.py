@@ -22,7 +22,7 @@ from .fileformat import (MAX_RANK, dumps_canonical, instance_from_json,
                          load_file, save_file, splitting_to_json)
 from .fixtures import (COEFFICIENTS, DEFECT_KINDS, dp_truncation,
                        plant_defect, random_instance)
-from .kunneth import (CheckResult, check_coherence, check_family_coherence,
+from .kunneth import (check_coherence, check_family_coherence,
                       validate_instance)
 from .splitter import (build_ideal_splitting, check_gamma_exact,
                        exhaustive_ideal_splittings, full_section,
@@ -201,11 +201,7 @@ def cmd_coherence_check(args):
         raise SchemaError("file carries no coherent-family block")
     results = list(check_coherence(family).results)
     if family.sigmas is not None:
-        passed = check_family_coherence(family)
-        results.append(CheckResult(
-            "family-coherence", passed,
-            None if passed else "sigma_m . lambda_{m,n} != kappa_{m,n} . "
-            "sigma_n for some n | m"))
+        results += check_family_coherence(family).results
     return EXIT_OK if _print_results(results, args.format) else EXIT_CHECK
 
 

@@ -10,7 +10,6 @@ explicitly so dimension bugs surface at parse time.
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 
 from .errors import IdealSplitError, SchemaError
@@ -426,7 +425,9 @@ def _canonical(x, indent):
     nested at ``indent``.  Dicts with str keys, lists, str, int, bool
     and None are written here, which skips the standard library's
     pure-Python encoder that indentation selects; any other value
-    goes through ``json.dumps`` and is re-indented."""
+    goes through ``json.dumps`` and is re-indented.  An instance
+    document holds no other value, and the standard call alone
+    measurably slows the set-up of the larger fixtures."""
     kind = type(x)
     if kind is str:
         return _escape(x)
@@ -485,10 +486,11 @@ def load_file(path):
 
 
 def save_file(path, doc):
-    """Canonical bytes, written atomically next to the target."""
+    """Canonical bytes, written atomically next to the target through a
+    temp file created as ``open`` creates one, so the umask sets its mode."""
     text = dumps_canonical(doc)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = "%s.%s.tmp" % (os.path.abspath(path), os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

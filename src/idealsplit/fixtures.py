@@ -40,11 +40,9 @@ class SumModel(NamedTuple):
     p2: GroupHom
 
 
-# random_instance's bounds on ideals, |Kn| and K0's free rank, and the
-# coefficients n is drawn from unless the caller passes its own.  The
-# ideal bound holds by construction (a chain, diamond or stem has at
-# most five ideals); the tests assert it.
-MAX_IDEALS = 6
+# random_instance's bounds on |Kn| and K0's free rank, and the
+# coefficients n is drawn from unless the caller passes its own.  A
+# chain, diamond or stem has at most five ideals.
 MAX_ORDER = 4096
 MAX_K0_RANK = 3
 COEFFICIENTS = (2, 3, 4, 6, 8, 9, 12)
@@ -382,18 +380,6 @@ def random_instance(seed, coefficients=COEFFICIENTS, twist=True):
 
 # --- defect planting ---------------------------------------------------------
 
-DEFECT_KINDS = ("break-exactness", "break-purity", "break-lattice-law",
-                "break-naturality", "break-distributivity")
-
-_DEFECT_PREFIX = {
-    "break-exactness": "ideal-exactness",
-    "break-purity": "purity",
-    "break-lattice-law": "lattice-laws",
-    "break-naturality": "naturality",
-    "break-distributivity": "lattice-distributive",
-}
-
-
 def _mid_ideals(inst):
     ends = (inst.order.bottom(), inst.order.top())
     return [i for i in inst.order.nodes if i not in ends]
@@ -530,28 +516,30 @@ def _candidates_distributivity(inst, model):
         yield inst.with_added_node(node, below=[m], above=[u])
 
 
-_CANDIDATES = {
-    "break-exactness": _candidates_exactness,
-    "break-purity": _candidates_purity,
-    "break-lattice-law": _candidates_lattice_law,
-    "break-naturality": _candidates_naturality,
-    "break-distributivity": _candidates_distributivity,
+# each defect kind: the check-name prefix its mutant must fail alone,
+# and the candidate mutations tried in order
+_DEFECTS = {
+    "break-exactness": ("ideal-exactness", _candidates_exactness),
+    "break-purity": ("purity", _candidates_purity),
+    "break-lattice-law": ("lattice-laws", _candidates_lattice_law),
+    "break-naturality": ("naturality", _candidates_naturality),
+    "break-distributivity": ("lattice-distributive",
+                             _candidates_distributivity),
 }
+DEFECT_KINDS = tuple(_DEFECTS)
 
 
 def plant_defect(inst, kind):
     """First deterministic mutation that fails exactly the named check
     family; DefectNotApplicableError when no candidate verifies."""
-    if kind is None:
-        return inst
-    if kind not in _DEFECT_PREFIX:
+    if kind not in _DEFECTS:
         raise ValueError("unknown defect kind %r" % (kind,))
     base = validate_instance(inst)
     if not base.ok:
         raise DefectNotApplicableError("instance is already invalid")
-    prefix = _DEFECT_PREFIX[kind]
+    prefix, candidates = _DEFECTS[kind]
     model = _sum_shape(inst)
-    for cand in _CANDIDATES[kind](inst, model):
+    for cand in candidates(inst, model):
         failures = validate_instance(cand).failures()
         if failures and all(r.name.startswith(prefix) for r in failures):
             return cand

@@ -17,6 +17,7 @@ from idealsplit.fileformat import (dumps_canonical, instance_from_json,
                                    splitting_from_json)
 from idealsplit.fixtures import (direct_sum_instance, dp_truncation,
                                  random_instance, transported_instance)
+from idealsplit.kunneth import CoherentFamily
 from idealsplit.splitter import SplittingFamily, verify_ideal_splitting
 from test_fixtures import K24, Z1, Z2, diamond24, same_nodes
 from test_kunneth import Z, natural_family
@@ -487,6 +488,54 @@ def test_coherence_check_rejects_perturbation(tmp_path, capsys):
     save_file(str(path), doc)
     assert main(["coherence-check", str(path)]) == 1
     assert "FAIL eq" in capsys.readouterr().out
+
+
+def family_doc(sigma_4_shift=False):
+    """The natural Z, Z/4 family over n in {2, 4} as an instance
+    document; with ``sigma_4_shift`` sigma_4 is still a section but is
+    moved into the tensor summand, so it breaks family coherence."""
+    fam, parts = natural_family(Z, FgGroup((4,)), [2, 4])
+    if sigma_4_shift:
+        shift = GroupHom(parts[4].T1, parts[4].T, [[1]])
+        sigmas = dict(fam.sigmas)
+        sigmas[4] = parts[4].i2 + (parts[4].i1 @ shift)
+        fam = CoherentFamily(fam.data, fam.coeffs, fam.kappa, fam.lam,
+                             sigmas)
+    inst = direct_sum_instance(Z, FgGroup((4,)), 2, {})
+    return instance_to_json(inst, family=fam)
+
+
+def run_coherence_check(tmp_path, capsys, doc):
+    path = tmp_path / "family.json"
+    save_file(str(path), doc)
+    code = main(["coherence-check", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_coherence_check_incoherent_family_output(tmp_path, capsys):
+    assert run_coherence_check(tmp_path, capsys,
+                               family_doc(sigma_4_shift=True)) == (
+        1,
+        "ok   eq1:2,4\nok   eq2:2,4\nok   eq1:4,2\nok   eq2:4,2\n"
+        "FAIL family-coherence: sigma_m . lambda_{m,n} != "
+        "kappa_{m,n} . sigma_n for some n | m\n"
+        "1 of 5 checks failed\n",
+        "")
+
+
+def test_coherence_check_missing_lambda_output(tmp_path, capsys):
+    doc = family_doc()
+    del doc["coherent_family"]["lambda"]
+    assert run_coherence_check(tmp_path, capsys, doc) == (
+        1, "", "error: lambda[4,2] is missing\n")
+
+
+def test_coherence_check_missing_sigma_output(tmp_path, capsys):
+    doc = family_doc()
+    del doc["coherent_family"]["sigmas"]["4"]
+    assert run_coherence_check(tmp_path, capsys, doc) == (
+        1, "", "error: sigma at 4 is missing\n")
 
 
 # --- argparse plumbing -------------------------------------------------------

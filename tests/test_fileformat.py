@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -96,6 +97,22 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
         save_file(str(tmp_path / "inst.json"), doc)
     assert str(info.value) == "rename refused"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_saved_file_gets_the_mode_open_gives(tmp_path):
+    # the umask sets the mode, as for a document redirected from stdout
+    old = os.umask(0o022)
+    try:
+        save_file(str(tmp_path / "saved.json"), {"a": 1})
+        with open(tmp_path / "opened.json", "w", encoding="utf-8") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    assert mode("saved.json") == mode("opened.json") == 0o644
 
 
 def test_unknown_keys_rejected():
@@ -330,6 +347,21 @@ def test_dumps_canonical_matches_the_standard_encoder():
     for write in (dumps_canonical, standard_dumps):
         with pytest.raises(TypeError):
             write({"k": {1: 0, "b": 0}})
+
+
+def test_dumps_canonical_writes_instances_without_the_standard_encoder(
+        monkeypatch):
+    # an instance document holds only what the emitter writes itself;
+    # json.dumps with an indent runs the slower pure-Python encoder
+    docs = [instance_to_json(random_instance(3)),
+            instance_to_json(dp_truncation(2, 4, 3))]
+    texts = [dumps_canonical(doc) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(fileformat.json, "dumps", refuse)
+    assert [dumps_canonical(doc) for doc in docs] == texts
 
 
 # --- coherent-family block ---------------------------------------------------

@@ -25,6 +25,8 @@ from idealsplit.errors import (AmbientMismatchError,
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
                              image_subgroup, kernel, n_torsion_group,
                              preimage_subgroup, tensor_zmod)
+from idealsplit.fileformat import (dumps_canonical, instance_from_json,
+                                   instance_to_json, loads)
 from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
                                 KunnethInstance, ValidationReport,
@@ -166,6 +168,17 @@ def test_direct_sum_instance_passes_every_check():
     assert validate_instance(again).results == report.results
     assert all(a.name is b.name
                for a, b in zip(validate_instance(again), report))
+
+
+def test_reports_of_two_parsed_copies_share_every_check_name():
+    # each parse builds its own id strings, and so its own names; the
+    # runner interns them, so reports a run keeps hold one string per
+    # check name rather than one per report
+    text = dumps_canonical(instance_to_json(random_instance(5)))
+    first, second = (validate_instance(instance_from_json(loads(text))[0])
+                     for _ in range(2))
+    assert first.names() == second.names()
+    assert all(a is b for a, b in zip(first.names(), second.names()))
 
 
 def test_k0_torsion_fails_exactly_one_check():
@@ -927,7 +940,7 @@ def test_coherence_report_pins_names_and_witnesses():
 
 def test_family_coherence_natural_true_incompatible_false():
     fam, parts = natural_family(Z, FgGroup((4,)), [2, 4])
-    assert check_family_coherence(fam) is True
+    assert check_family_coherence(fam).ok
     # still a genuine section, but shifted into the tensor summand:
     # sigma'_4 = i2 + i1 . w with w the identity on Z/4
     w = GroupHom(parts[4].T1, parts[4].T, [[1]])
@@ -936,7 +949,7 @@ def test_family_coherence_natural_true_incompatible_false():
     fam2 = CoherentFamily(fam.data, fam.coeffs, fam.kappa, fam.lam, twisted)
     assert (fam2.coeffs[4].beta_tilde @ twisted[4]
             == GroupHom.identity(parts[4].T1))
-    assert check_family_coherence(fam2) is False
+    assert not check_family_coherence(fam2).ok
 
 
 def test_family_coherence_error_paths():
