@@ -7,12 +7,21 @@ K1(J1)[n].  The builder walks the lattice in next_ideal order: the
 bottom gets the zero section, an ideal with a unique maximal subideal
 gets the canonical solution of one congruence system (the only
 extension path; it is complete, so None means no extension exists), and
-an ideal with several maximal subideals is glued from them along the
-Gamma complex, with the well-definedness of the glue verified rather
-than assumed.  Each glue builds its Gamma complex once:
-check_gamma_exact constructs and certifies it (Gamma1 only as its
-image), and glue_comaximal reuses its Gamma0, projections and pair
-restriction maps.
+an ideal with several maximal subideals is glued along a Gamma complex,
+with the well-definedness of the glue verified rather than assumed.
+Two of those subideals suffice: they already join to the ideal, on a
+valid instance their Gamma complex is exact, and the glued section then
+restricts to every other one, which the glue checks directly
+(glue_comaximal has the proof; on any failure it glues from all of
+them).  Each glue builds one Gamma complex: check_gamma_exact
+constructs and certifies it (Gamma1 only as its image), and the glue
+reuses its Gamma0, projections and pair restriction maps.  A section
+is certified once per instance, however many glues above it read it.
+verify_ideal_splitting re-checks a family however it was made; its
+coherence checks, one per comparable pair, are settled together by
+comparing each section with the top section restricted, since
+restriction maps compose (its docstring has the proof), and run one
+by one when that certificate fails.
 exhaustive_ideal_splittings is the independent brute-force
 cross-check of the builder: it filters the sections that
 enumerate_splittings finds for the top row by exhaustion.
@@ -23,10 +32,10 @@ built.
 
 Everything here is deterministic: solver solutions are canonical
 (lexicographically least), the glued section does not depend on which
-Gamma0-preimages are taken, and families built from equal inputs
-serialize identically.  The results are frozen dataclasses: a
-SplittingFamily compares and hashes by its sections, a ComplexIso by
-identity.
+Gamma0-preimages are taken nor on how many parts it is glued from, and
+families built from equal inputs serialize identically.  The results
+are frozen dataclasses: a SplittingFamily compares and hashes by its
+sections, a ComplexIso by identity.
 """
 
 import itertools
@@ -34,7 +43,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (AmbientMismatchError, GluingError,
-                     HomDefinitionError, InstanceValidationError,
+                     HomDefinitionError, IdealSplitError,
+                     InstanceValidationError,
                      LiftHypothesisError, MissingSigmaError,
                      NotASplittingError, NotComaximalError, NotExactError,
                      NotSubgroupError, SizeBoundError,
@@ -220,17 +230,25 @@ def restriction_hom(inst, lo, hi):
 
 
 def _check_is_splitting(inst, id, sig):
-    """NotASplittingError unless sig is a section for ideal id's row."""
-    g, incl, _ = inst.torsion_sub(id).as_group()
-    if sig.domain != g or sig.codomain != inst.coeff.Kn:
-        raise NotASplittingError(
-            "sigma for %r has the wrong domain or codomain" % (id,))
-    if inst.coeff.beta_tilde @ sig != incl:
-        raise NotASplittingError(
-            "beta_tilde . sigma is not the identity on K1(%s)[n]" % (id,))
-    if not image(sig) <= inst.node(id).Kn_sub:
-        raise NotASplittingError(
-            "sigma image escapes Kn(%s)" % (id,))
+    """NotASplittingError unless sig is a section for ideal id's row.
+
+    A section that passes is remembered on the instance, so each is
+    certified once however many glues above id read it; a failure
+    raises and is not remembered.
+    """
+    def certify():
+        g, incl, _ = inst.torsion_sub(id).as_group()
+        if sig.domain != g or sig.codomain != inst.coeff.Kn:
+            raise NotASplittingError(
+                "sigma for %r has the wrong domain or codomain" % (id,))
+        if inst.coeff.beta_tilde @ sig != incl:
+            raise NotASplittingError(
+                "beta_tilde . sigma is not the identity on K1(%s)[n]" % (id,))
+        if not image(sig) <= inst.node(id).Kn_sub:
+            raise NotASplittingError(
+                "sigma image escapes Kn(%s)" % (id,))
+        return True
+    inst._memo(("section", id, sig), certify)
 
 
 def _extend_solver(inst, lo, hi, tau):
@@ -255,22 +273,11 @@ def _extend_solver(inst, lo, hi, tau):
     return incl_h @ x
 
 
-def glue_comaximal(inst, I, parts, sigmas):
-    """Assemble sigma_I from sections at a comaximal family of parts.
-
-    For each generator y of K1(I)[n] a Gamma0-preimage (y_1, ..., y_N)
-    is solved and sigma_I(y) = sum sigma_i(y_i).  Coherence of the
-    inputs on pairwise meets and exactness of the Gamma complex are
-    verified first, which is exactly what makes the result independent
-    of the preimage choice.  The complex is built and certified once,
-    by check_gamma_exact; its Gamma0, projections and pair restriction
-    maps are then reused here, not rebuilt.
-    """
-    parts = list(parts)
-    for p in parts:
-        if p not in sigmas:
-            raise MissingSigmaError("no sigma for part %r" % (p,))
-        _check_is_splitting(inst, p, sigmas[p])
+def _glue(inst, I, parts, sigmas):
+    """sigma_I from checked sections at ``parts`` along their Gamma
+    complex, certified exact first; GluingError when it is not, when
+    two parts disagree on their meet, or when the result is no
+    section."""
     cert = check_gamma_exact(inst, I, parts)
     if not cert.ok:
         raise GluingError("Gamma complex is not exact under %r: %s"
@@ -303,6 +310,61 @@ def glue_comaximal(inst, I, parts, sigmas):
     except NotASplittingError as exc:
         raise GluingError("glued map is not a section at %r: %s" % (I, exc))
     return sigma
+
+
+def glue_comaximal(inst, I, parts, sigmas):
+    """Assemble sigma_I from sections at a comaximal family of parts.
+
+    Every part's section is checked first.  For each generator y of
+    K1(I)[n] a Gamma0-preimage (y_1, ..., y_N) is solved and sigma_I(y)
+    = sum sigma_i(y_i).  Coherence of the inputs on pairwise meets and
+    exactness of the Gamma complex are verified first, which is exactly
+    what makes the result independent of the preimage choice.  The
+    complex is built and certified once, by check_gamma_exact; its
+    Gamma0, projections and pair restriction maps are then reused here,
+    not rebuilt.
+
+    With three or more parts, sigma_I is glued from the first two
+    alone, and kept when sigma_I . iota(c, I) = sigma_c for every other
+    part c.  Any failure on that path (the two are not comaximal, their
+    complex is not exact, they disagree on their meet, or the result
+    misses another part) glues from all the parts, and only that glue
+    reports an error.  So errors are the all-parts glue's, except that
+    a two-part glue that succeeds hides a non-exact all-parts complex.
+
+    Why two parts suffice on a valid instance, where the parts are the
+    lower covers of I.  Distinct lower covers c1, c2 of I are
+    incomparable, so c1 < c1 v c2 <= I, and c1 v c2 = I since c1 is a
+    cover.  Write m = c1 ^ c2, A = K1(c1), B = K1(c2), M = K1(m).  The
+    lattice laws give A + B = K1(I) and A meet B = M, so the two-part
+    complex is exact in the middle: ker Gamma0 is the antidiagonal copy
+    of A[n] meet B[n] = (A meet B)[n] = M[n], which is im Gamma1.  It is
+    exact on the right by purity: for y = a + b in K1(I)[n], na = -nb
+    lies in M and in nK1, and M is pure, so na = nz for some z in M;
+    then y = (a - z) + (b + z) with a - z in A[n] and b + z in B[n].
+    So Gamma0 is onto and sigma_I is fixed by sigma_c1 and sigma_c2.
+    For any other lower cover c, distributivity gives
+    c = c ^ (c1 v c2) = (c ^ c1) v (c ^ c2), and the same purity
+    argument gives K1(c)[n] = K1(c ^ c1)[n] + K1(c ^ c2)[n].  The
+    family below I is coherent, so sigma_I agrees with sigma_c on both
+    summands, and sigma_I . iota(c, I) = sigma_c.  The all-parts glue
+    restricts to every part too, so the two glues agree on the two-part
+    Gamma0's image, all of K1(I)[n]: the family is the same either way.
+    """
+    parts = list(parts)
+    for p in parts:
+        if p not in sigmas:
+            raise MissingSigmaError("no sigma for part %r" % (p,))
+        _check_is_splitting(inst, p, sigmas[p])
+    if len(parts) > 2:
+        try:
+            sigma = _glue(inst, I, parts[:2], sigmas)
+            if all(sigma @ restriction_hom(inst, c, I) == sigmas[c]
+                   for c in parts[2:]):
+                return sigma
+        except IdealSplitError:
+            pass
+    return _glue(inst, I, parts, sigmas)
 
 
 def build_ideal_splitting(inst, validate=True):
@@ -348,7 +410,27 @@ def build_ideal_splitting(inst, validate=True):
 
 
 def verify_ideal_splitting(inst, fam):
-    """Re-check a family against its instance, however it was produced."""
+    """Re-check a family against its instance, however it was produced.
+
+    The ``coherence:lo<hi`` checks, one per comparable pair, are first
+    settled together against the top section.  The certificate holds
+    when every ``family-domain`` check has passed, K1(lo)[n] <=
+    K1(hi)[n] on every cover edge, and sigma_top . iota(lo, top) =
+    sigma_lo for every lo other than the top; then each pair is
+    recorded as passed.  When there is no top, or the certificate fails
+    or raises an IdealSplitError, each pair is checked on its own, with
+    the same names, verdicts and witnesses.
+
+    Why the certificate decides every pair: lo < hi is a chain of cover
+    edges, so K1(lo)[n] <= K1(hi)[n] <= K1(top)[n] and each restriction
+    map iota exists.  They are coordinates of inclusions into one
+    ambient, so they compose: iota(hi, top) . iota(lo, hi) = iota(lo,
+    top).  Then sigma_hi . iota(lo, hi) = sigma_top . iota(hi, top) .
+    iota(lo, hi) = sigma_top . iota(lo, top) = sigma_lo.  So the
+    certificate only skips checks it has shown to pass, and the report
+    is the pairwise scan's either way.  It builds one restriction map
+    per ideal other than the top, where the scan builds one per pair.
+    """
     results = []
     run = check_runner(results)
     ids = list(inst.order.nodes)
@@ -362,6 +444,7 @@ def verify_ideal_splitting(inst, fam):
                 return "codomain is not Kn"
             return None
         run("family-domain:%s" % i, domain_ok)
+    domains_ok = all(r.passed for r in results)
     for i in ids:
         def splits(i=i):
             sig = fam.sigma(i)
@@ -375,20 +458,29 @@ def verify_ideal_splitting(inst, fam):
             lambda i=i: _gap(image(fam.sigma(i)), inst.node(i).Kn_sub,
                              lambda g: "sigma image reaches %r outside Kn(%s)"
                              % (g, i)))
-    for x in range(len(ids)):
-        for y in range(len(ids)):
-            lo, hi = ids[x], ids[y]
-            if lo == hi or not inst.order.leq(lo, hi):
-                continue
 
-            def coherent(lo=lo, hi=hi):
-                iota = restriction_hom(inst, lo, hi)
-                if fam.sigma(hi) @ iota != fam.sigma(lo):
-                    return ("sigma at %s restricted to K1(%s)[n] "
-                            "differs from sigma at %s" % (hi, lo, lo))
-                return None
+    def coherent(lo, hi):
+        def check():
+            iota = restriction_hom(inst, lo, hi)
+            if fam.sigma(hi) @ iota != fam.sigma(lo):
+                return ("sigma at %s restricted to K1(%s)[n] "
+                        "differs from sigma at %s" % (hi, lo, lo))
+            return None
+        return check
 
-            run("coherence:%s<%s" % (lo, hi), coherent)
+    def top_certifies():
+        top, sub = inst.order.top(), inst.torsion_sub
+        if top is None or not domains_ok or not all(
+                sub(lo) <= sub(hi) for lo, hi in inst.order.cover_edges()):
+            return False
+        try:
+            return all(coherent(lo, top)() is None for lo in ids if lo != top)
+        except IdealSplitError:
+            return False
+
+    run.certified([("coherence:%s<%s" % (lo, hi), coherent(lo, hi))
+                   for lo in ids for hi in ids
+                   if lo != hi and inst.order.leq(lo, hi)], top_certifies())
     return ValidationReport(results)
 
 

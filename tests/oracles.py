@@ -36,7 +36,12 @@ another way:
   have the same ``column_lattice``;
 * ``standard_dumps`` writes canonical JSON with the standard library's
   indenting encoder, where ``fileformat.dumps_canonical`` writes it
-  itself.
+  itself;
+* ``all_covers_family`` glues each ideal from all of its lower covers,
+  where ``splitter.glue_comaximal`` glues from the first two, and
+  ``pairwise_coherence`` checks the coherence of every comparable pair
+  on its own, where ``splitter.verify_ideal_splitting`` settles them
+  against the top section.
 """
 
 import json
@@ -262,3 +267,54 @@ def column_lattice(mat, rows, cols):
 def standard_dumps(doc):
     """``fileformat.dumps_canonical`` as the standard library writes it."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def all_covers_family(inst):
+    """The splitting family as the builder made it before it glued from
+    two lower covers: zero at the bottom, the solver's extension over a
+    single lower cover, and the glue along the Gamma complex of all the
+    lower covers at once.  For valid instances only."""
+    kn, sigmas, done = inst.coeff.Kn, {}, set()
+    while (x := inst.order.next_ideal(done)) is not None:
+        covers = inst.order.maximal_subideals(x)
+        g, incl, _ = inst.torsion_sub(x).as_group()
+        if not covers:
+            sigmas[x] = fgab.GroupHom.zero(g, kn)
+        elif len(covers) == 1:
+            sigmas[x] = splitter._extend_solver(inst, covers[0], x,
+                                                sigmas[covers[0]])
+        else:
+            g0, proj, _ = splitter.check_gamma_exact(inst, x, covers).complex
+            images = []
+            for gen in g.gens():
+                w = fgab.hom_preimage(g0, incl(gen))
+                total = kn.zero()
+                for k, c in enumerate(covers):
+                    total = kn.add(total, sigmas[c](proj[k](w)))
+                images.append(total)
+            sigmas[x] = fgab.GroupHom.from_images(g, kn, images)
+        done.add(x)
+    return splitter.SplittingFamily(sigmas)
+
+
+def pairwise_coherence(inst, fam):
+    """The ``coherence:lo<hi`` rows of ``verify_ideal_splitting`` as it
+    wrote them before its top-section certificate: every comparable
+    pair checked on its own, in the same order."""
+    results = []
+    run = kunneth.check_runner(results)
+    ids = list(inst.order.nodes)
+    for lo in ids:
+        for hi in ids:
+            if lo == hi or not inst.order.leq(lo, hi):
+                continue
+
+            def coherent(lo=lo, hi=hi):
+                iota = splitter.restriction_hom(inst, lo, hi)
+                if fam.sigma(hi) @ iota != fam.sigma(lo):
+                    return ("sigma at %s restricted to K1(%s)[n] "
+                            "differs from sigma at %s" % (hi, lo, lo))
+                return None
+
+            run("coherence:%s<%s" % (lo, hi), coherent)
+    return results

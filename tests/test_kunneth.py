@@ -11,6 +11,7 @@ the expectations independent of the module under test.
 """
 
 import collections
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -268,22 +269,39 @@ def test_non_lattice_witnesses_are_pinned():
     }
 
 
+def planted_defects(inst):
+    """{kind: instance} for every defect kind that plants on inst."""
+    out = {}
+    for kind in fixtures.DEFECT_KINDS:
+        try:
+            out[kind] = fixtures.plant_defect(inst, kind)
+        except DefectNotApplicableError:
+            pass
+    return out
+
+
+@functools.cache
+def random_with_defects(seed):
+    """random_instance(seed) and its planted defects, made once for the
+    tests that sweep seeds 0-59: planting them all takes about a
+    second."""
+    inst = random_instance(seed)
+    return inst, planted_defects(inst)
+
+
 def law_certificate_cases():
     """(name, instance): random_instance seeds 0-59, dp m = 4 and 8,
     Boolean k = 3-5, every planted defect that applies to the random
     seeds and to 2^3, and the non-lattice, non-distributive and
     non-monotone instances pinned above."""
     cases = []
-    bases = [("seed %d" % s, random_instance(s)) for s in range(60)]
-    bases.append(("2^3", boolean_instance(3)))
-    for name, inst in bases:
+    bases = [("seed %d" % s,) + random_with_defects(s) for s in range(60)]
+    cube = boolean_instance(3)
+    bases.append(("2^3", cube, planted_defects(cube)))
+    for name, inst, defects in bases:
         cases.append((name, inst))
-        for kind in fixtures.DEFECT_KINDS:
-            try:
-                cases.append(("%s %s" % (name, kind),
-                              fixtures.plant_defect(inst, kind)))
-            except DefectNotApplicableError:
-                pass
+        cases += [("%s %s" % (name, kind), bad)
+                  for kind, bad in defects.items()]
     cases += [("dp %d" % m, dp_truncation(2, m, m - 1)) for m in (4, 8)]
     cases += [("2^%d" % k, boolean_instance(k)) for k in (4, 5)]
     diamond, _ = diamond_instance()
@@ -493,16 +511,12 @@ def test_every_check_returns_its_witness_or_none():
     # still returning a (passed, witness) pair fails here
     reports = collections.defaultdict(list)
     for seed in range(60):
-        inst = random_instance(seed)
+        inst, defects = random_with_defects(seed)
         reports["validate"].append(validate_instance(inst))
         fam = splitter.build_ideal_splitting(inst, validate=False)
         reports["verify"].append(splitter.verify_ideal_splitting(inst, fam))
-        for kind in fixtures.DEFECT_KINDS:
-            try:
-                bad = fixtures.plant_defect(inst, kind)
-            except DefectNotApplicableError:
-                continue
-            reports["validate"].append(validate_instance(bad))
+        reports["validate"] += [validate_instance(bad)
+                                for bad in defects.values()]
     reports["validate"].append(validate_instance(dp_truncation(2, 4, 3)))
     # a section pushed outside Kn(a), and no section at b
     inst, parts = diamond_instance()
@@ -733,12 +747,10 @@ def test_five_term_sequence_agrees_with_row_checks():
     # K1[n] alone and K0 (x) Z/n alone make each end fail by itself
     cases = [dp_truncation(2, 4, 3)]
     for seed in range(60):
-        inst = random_instance(seed)
+        inst, defects = random_with_defects(seed)
         cases.append(inst)
-        try:
-            cases.append(fixtures.plant_defect(inst, "break-exactness"))
-        except DefectNotApplicableError:
-            pass
+        if "break-exactness" in defects:
+            cases.append(defects["break-exactness"])
         rng = random.Random(seed)
         T, _ = inst.tensor()
         T1, _ = inst.torsion()

@@ -9,21 +9,27 @@ exists there.
 """
 
 import collections
+import itertools
+import json
 import random
 
 import pytest
 
-from idealsplit import splitter
+from idealsplit import fixtures, splitter
 from idealsplit.errors import (AmbientMismatchError, GluingError,
-                               HomDefinitionError, InstanceValidationError,
+                               HomDefinitionError, IdealSplitError,
+                               InstanceValidationError,
                                LiftHypothesisError, MissingSigmaError,
                                NotASplittingError, NotComaximalError,
-                               SizeBoundError, SplittingObstructionError)
+                               NotSubgroupError, SizeBoundError,
+                               SplittingObstructionError)
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, image,
                              image_subgroup, kernel, n_torsion_group,
                              tensor_zmod)
+from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import (CoeffGroup, IdealNode, KData,
-                                KunnethInstance, validate_instance)
+                                KunnethInstance, ValidationReport,
+                                validate_instance)
 from idealsplit.lattice import IdealLattice
 from idealsplit.splitter import (ComplexIso, SplittingFamily,
                                  build_ideal_splitting, check_gamma_exact,
@@ -31,9 +37,10 @@ from idealsplit.splitter import (ComplexIso, SplittingFamily,
                                  glue_comaximal, lift_isomorphism,
                                  restriction_hom, verify_ideal_splitting)
 
-from oracles import gamma1_with_pairs
+from oracles import all_covers_family, gamma1_with_pairs, pairwise_coherence
 from test_kunneth import (DIAMOND, Z, Z2, aligned, aligned_node, basis_sub,
-                          boolean_instance, diamond_instance, model_parts)
+                          boolean_instance, diamond_instance, model_parts,
+                          no_top_instance, random_with_defects)
 
 E8 = FgGroup((2, 2, 2))
 
@@ -223,6 +230,36 @@ def natural_sigma(inst, parts, id):
     return parts.i2 @ incl
 
 
+def shifted_section(inst, id, sigma):
+    """sigma plus the map sending every generator of K1(id)[n] to
+    rho_tilde of the first generator of K0(id) (x) Z/n: another section
+    at id, still inside Kn(id), for n = 2 and K1(id)[n], K0(id)
+    nonzero."""
+    g, _, _ = inst.torsion_sub(id).as_group()
+    h, incl, _ = inst.tensor_sub(id).as_group()
+    shift = GroupHom.from_images(g, h, [h.gens()[0]] * g.rank)
+    return sigma + inst.coeff.rho_tilde @ incl @ shift
+
+
+def zero_family(inst):
+    """The zero map at every ideal: right domains and codomains."""
+    return SplittingFamily({
+        i: GroupHom.zero(inst.torsion_sub(i).as_group()[0], inst.coeff.Kn)
+        for i in inst.order.nodes})
+
+
+def boolean_twists():
+    """Boolean 2^3 and 2^4 under each of the benchmark's eight twists
+    (random_hom from Random(100k + t)), and 2^5 under the first two."""
+    for k, twists in ((3, range(8)), (4, range(8)), (5, range(2))):
+        plain = boolean_instance(k)
+        T, _ = plain.tensor()
+        T1, _ = plain.torsion()
+        for t in twists:
+            h = fixtures.random_hom(T1, T, random.Random(k * 100 + t))
+            yield "2^%d twist %d" % (k, t), fixtures.twist_instance(plain, h)
+
+
 # --- extension -------------------------------------------------------------
 
 def test_extend_splitting_from_middle():
@@ -262,6 +299,21 @@ def test_glue_rejects_a_part_that_is_not_a_section():
               "b": natural_sigma(inst, parts, "b")}
     with pytest.raises(NotASplittingError) as info:
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == \
+        "beta_tilde . sigma is not the identity on K1(a)[n]"
+
+
+def test_a_certified_section_vouches_for_no_other():
+    # the instance remembers each section it certified, keyed by the
+    # section itself, so a broken one at the same ideal is still
+    # rejected
+    inst, parts = diamond_instance()
+    sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
+    glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    g_a, _, _ = inst.torsion_sub("a").as_group()
+    with pytest.raises(NotASplittingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"],
+                       {**sigmas, "a": GroupHom.zero(g_a, inst.coeff.Kn)})
     assert str(info.value) == \
         "beta_tilde . sigma is not the identity on K1(a)[n]"
 
@@ -433,11 +485,11 @@ def test_gamma_result_carries_the_certified_complex():
 
 
 def test_glue_builds_its_gamma_complex_once(monkeypatch):
-    # counts, not timing: each glue builds one direct sum, that of its
-    # parts (for Gamma0 inside check_gamma_exact), and reuses it; im
-    # Gamma1 is spanned by the pair maps, on no sum of the pairs; and an
-    # exact complex is settled by identity: its Gamma comparisons
-    # return at a == b, without a membership scan
+    # counts, not timing: each glue builds one direct sum, that of the
+    # two parts it glues from (for Gamma0 inside check_gamma_exact),
+    # and reuses it; im Gamma1 is spanned by the pair maps, on no sum
+    # of the pairs; and an exact complex is settled by identity: its
+    # Gamma comparisons return at a == b, without a membership scan
     glues = []
     seen = collections.Counter()
     depth = [0]
@@ -477,7 +529,95 @@ def test_glue_builds_its_gamma_complex_once(monkeypatch):
     assert len(glues) == 6
     assert seen["comparisons"] == 12 and seen["scans"] == 0
     for groups, calls in glues:
-        assert calls == [groups]
+        assert calls == [groups[:2]]
+
+
+def test_glue_falls_back_to_all_parts_on_any_failure(monkeypatch):
+    # with three parts the glue from the first two is kept when it
+    # restricts to the third; when those two disagree on their meet, or
+    # the third part disagrees, the glue from all three runs and reports
+    # the first pair that disagrees, as the all-parts glue always did
+    inst = boolean_instance(3)
+    fam = build_ideal_splitting(inst)
+    top = inst.order.top()
+    parts = inst.order.maximal_subideals(top)
+    widths = []
+    check = splitter.check_gamma_exact
+
+    def counted(inst, I, parts):
+        widths.append(len(parts))
+        return check(inst, I, parts)
+
+    monkeypatch.setattr(splitter, "check_gamma_exact", counted)
+    assert glue_comaximal(inst, top, parts, fam.sigmas) == fam.sigma(top)
+    assert widths == [2]
+    messages = []
+    for bad in (parts[0], parts[2]):
+        widths.clear()
+        sigmas = {**fam.sigmas, bad: shifted_section(inst, bad,
+                                                     fam.sigma(bad))}
+        with pytest.raises(GluingError) as info:
+            glue_comaximal(inst, top, parts, sigmas)
+        assert widths == [2, 3]
+        messages.append(str(info.value))
+    assert messages == ["sigmas at 's3' and 's5' disagree on their meet 's1'",
+                        "sigmas at 's3' and 's6' disagree on their meet 's2'"]
+
+
+def test_two_lower_covers_glue_the_all_covers_family():
+    # on valid instances the Gamma complex of every two lower covers of
+    # an ideal is exact, and the family glued from two covers is the
+    # one glued from all of them, on random instances (twisted and
+    # aligned), the dp family and twisted Boolean lattices
+    cases = ([("seed %d" % s, random_with_defects(s)[0])
+              for s in range(60)]
+             + [("aligned seed %d" % s, random_instance(s, twist=False))
+                for s in range(60)]
+             + [("dp %d" % m, dp_truncation(2, m, m - 1))
+                for m in range(4, 9)]
+             + list(boolean_twists()))
+    pairs = 0
+    for name, inst in cases:
+        # valid by construction, as test_fixtures and the acceptance
+        # suite check; an invalid one could only fail the checks below
+        fam = build_ideal_splitting(inst, validate=False)
+        for x in inst.order.nodes:
+            for c1, c2 in itertools.combinations(
+                    inst.order.maximal_subideals(x), 2):
+                assert check_gamma_exact(inst, x, [c1, c2]).ok, (name, x)
+                pairs += 1
+        assert fam == all_covers_family(inst), name
+    assert pairs == 466
+
+
+def test_build_makes_one_pair_map_per_glue_and_checks_each_section_once(
+        monkeypatch):
+    # counts, not timing: on a valid 2^4 every glue certifies one Gamma
+    # complex of two parts, so one pair map (24 from all the covers),
+    # and each ideal's section is certified once, not once per glue
+    # above it; the bottom's zero section is never glued from
+    inst = boolean_instance(4)
+    assert validate_instance(inst).ok
+    widths, certified = [], []
+    check, memo = splitter.check_gamma_exact, KunnethInstance._memo
+
+    def counted_check(inst, I, parts):
+        widths.append(len(parts))
+        return check(inst, I, parts)
+
+    def counted_memo(self, key, fn):
+        if key[0] == "section" and key not in self._cache:
+            certified.append(key[1])
+        return memo(self, key, fn)
+
+    monkeypatch.setattr(splitter, "check_gamma_exact", counted_check)
+    monkeypatch.setattr(KunnethInstance, "_memo", counted_memo)
+    build_ideal_splitting(inst, validate=False)
+    glues = [x for x in inst.order.nodes
+             if len(inst.order.maximal_subideals(x)) > 1]
+    assert widths == [2] * len(glues) and len(glues) == 11
+    assert sorted(certified) == sorted(
+        set(inst.order.nodes) - {inst.order.bottom()})
 
 
 # --- the builder -----------------------------------------------------------
@@ -563,6 +703,90 @@ def test_verify_flags_missing_sigma():
     assert "splitting-identity:b" in bad
     assert any("MissingSigmaError" in (r.witness or "")
                for r in report.failures())
+
+
+def test_verify_builds_one_restriction_map_per_non_top_ideal(monkeypatch):
+    # counts, not timing: the 211 coherence checks of a valid 2^5 family
+    # are settled against the top section, one restriction map per
+    # other ideal, where the pairwise scan builds one per pair
+    inst = boolean_instance(5)
+    fam = build_ideal_splitting(inst)
+    calls = []
+    restrict = splitter.restriction_hom
+
+    def counted(inst, lo, hi):
+        calls.append((lo, hi))
+        return restrict(inst, lo, hi)
+
+    monkeypatch.setattr(splitter, "restriction_hom", counted)
+    report = verify_ideal_splitting(inst, fam)
+    assert report.ok
+    assert sum(r.name.startswith("coherence:") for r in report) == 211
+    top = inst.order.top()
+    assert calls == [(i, top) for i in inst.order.nodes if i != top]
+
+
+def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
+    # the report equals its first three check families followed by the
+    # pairwise coherence scan, byte for byte: on valid families, on
+    # families broken at one ideal, on the families that split --force
+    # builds for planted defects, on zero families where the
+    # certificate does not apply (no top, K1 shrinking along a cover
+    # edge into the top or below it), and where a restriction map to
+    # the top cannot be built
+    seen = collections.Counter()
+
+    def agrees(inst, fam):
+        report = verify_ideal_splitting(inst, fam)
+        head = [r for r in report if not r.name.startswith("coherence:")]
+        scan = pairwise_coherence(inst, fam)
+        assert json.dumps(report.as_dict()) == json.dumps(
+            ValidationReport(head + scan).as_dict())
+        seen["coherent" if all(r.passed for r in scan)
+             else "incoherent"] += 1
+
+    for inst in (diamond_instance()[0], stem_instance()[0],
+                 boolean_instance(3)):
+        fam = build_ideal_splitting(inst)
+        agrees(inst, fam)
+        for i in inst.order.nodes:
+            broken = [{k: v for k, v in fam.sigmas.items() if k != i},
+                      {**fam.sigmas,
+                       i: GroupHom.zero(FgGroup((3,)), inst.coeff.Kn)}]
+            if inst.torsion_sub(i).as_group()[0].rank \
+                    and inst.tensor_sub(i).as_group()[0].rank:
+                broken.append({**fam.sigmas, i: shifted_section(
+                    inst, i, fam.sigma(i))})
+            for sigmas in broken:
+                agrees(inst, SplittingFamily(sigmas))
+    for s in range(60):
+        for bad in random_with_defects(s)[1].values():
+            try:
+                fam = build_ideal_splitting(bad, validate=False)
+            except IdealSplitError:
+                continue
+            agrees(bad, fam)
+            seen["forced"] += 1
+    diamond, _ = diamond_instance()
+    top = diamond.node("top")
+    shrunk_top = diamond.with_replaced_node(IdealNode(
+        "top", top.K0_sub, basis_sub(FgGroup((2, 4)), (0,)), top.Kn_sub))
+    stem, _ = stem_instance()
+    a = stem.node("a")
+    shrunk_a = stem.with_replaced_node(IdealNode(
+        "a", a.K0_sub, basis_sub(FgGroup((2, 2)), (1,)), a.Kn_sub))
+    for inst in (no_top_instance(), shrunk_top, shrunk_a):
+        agrees(inst, zero_family(inst))
+    restrict = splitter.restriction_hom
+
+    def unbuildable(inst, lo, hi):
+        if (lo, hi) == ("a", "top"):
+            raise NotSubgroupError("no coordinates for K1(a)[n]")
+        return restrict(inst, lo, hi)
+
+    monkeypatch.setattr(splitter, "restriction_hom", unbuildable)
+    agrees(diamond, build_ideal_splitting(diamond))
+    assert seen == {"coherent": 25, "incoherent": 51, "forced": 21}
 
 
 def test_build_rejects_invalid_instance():
