@@ -183,6 +183,8 @@ def cmd_gen(args):
 def cmd_gamma_check(args):
     inst, _ = _load_instance(args.path)
     parts = [x for x in args.parts.split(",") if x]
+    if not parts:
+        raise SchemaError("--parts names no ideal")
     unknown = [x for x in parts + [args.ideal] if x not in inst.order.nodes]
     if unknown:
         raise SchemaError("unknown ideal id %r" % unknown[0])

@@ -190,12 +190,5 @@ class IdealLattice:
                     return False
         return True
 
-    def __eq__(self, other):
-        return (isinstance(other, IdealLattice) and self.nodes == other.nodes
-                and self._up == other._up)
-
-    def __hash__(self):
-        return hash((self.nodes, tuple(sorted(self._up.items()))))
-
     def __repr__(self):
         return "IdealLattice(%r, %r)" % (list(self.nodes), list(self.edges))

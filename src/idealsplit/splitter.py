@@ -9,19 +9,18 @@ gets the canonical solution of one congruence system (the only
 extension path; it is complete, so None means no extension exists), and
 an ideal with several maximal subideals is glued along a Gamma complex,
 with the well-definedness of the glue verified rather than assumed.
-Two of those subideals suffice: they already join to the ideal, on a
-valid instance their Gamma complex is exact, and the glued section then
-restricts to every other one, which the glue checks directly
-(glue_comaximal has the proof; on any failure it glues from all of
-them).  Each glue builds one Gamma complex: check_gamma_exact
-constructs and certifies it (Gamma1 only as its image), and the glue
-reuses its Gamma0, projections and pair restriction maps.  A section
-is certified once per instance, however many glues above it read it.
-verify_ideal_splitting re-checks a family however it was made; its
-coherence checks, one per comparable pair, are settled together by
-comparing each section with the top section restricted, since
-restriction maps compose (its docstring has the proof), and run one
-by one when that certificate fails.
+Two of those subideals suffice, and the glue checks that the result
+restricts to every other one (glue_comaximal has the proof; on any
+failure it glues from all of them).  Each glue builds and certifies one
+Gamma complex (check_gamma_exact; Gamma1 only as its image) and reuses
+its Gamma0 and projections.  A section is certified once per instance.
+The restriction maps iota(lo, hi), K1(lo)[n] inside K1(hi)[n], are
+instance data: restriction_hom builds each once per instance.  On a
+distributive lattice every map the builder reads is a cover edge's
+(GammaComplex says why), and verify_ideal_splitting settles its
+coherence checks, one per comparable pair, on the cover edges alone,
+since the maps compose (its docstring has the proof); when an edge
+fails it runs them one by one.
 exhaustive_ideal_splittings is the independent brute-force
 cross-check of the builder: it filters the sections that
 enumerate_splittings finds for the top row by exhaustion.
@@ -103,15 +102,16 @@ class ComplexIso:
 class GammaComplex(NamedTuple):
     """The pieces of a certified Gamma complex that gluing reuses.
 
-    ``gamma0`` maps the direct sum of the parts' K1(part)[n] to K1[n],
-    ``projections`` are that sum's projections, one per part, and
-    ``restrictions[(i, j)]`` is ``(meet, into_i, into_j)``: the stored
-    lattice meet of parts i < j and the coordinates of K1(meet)[n]
-    inside each of the two parts.
+    ``gamma0`` maps the direct sum of the parts' K1(part)[n] to K1[n];
+    ``projections`` are that sum's, one per part.  The pair maps are
+    read through restriction_hom.  For lower covers c1, c2 of I in a
+    distributive (so modular) lattice, m = c1 ^ c2 is covered by both:
+    x -> x v c1 maps [m, c2] onto [c1, I] with inverse y -> y ^ c2, and
+    [c1, I] has no inner element.  So every map a glue reads is a
+    cover-edge map, built once per instance.
     """
     gamma0: GroupHom
     projections: list
-    restrictions: dict
 
 
 class GammaResult(NamedTuple):
@@ -187,22 +187,18 @@ def check_gamma_exact(inst, I, parts):
     subs = [inst.torsion_sub(p) for p in parts]
     target = inst.torsion_sub(I)
     g0, inj, proj = gamma0(subs)
-    mids = {}
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            mid = inst.order.meet(parts[i], parts[j])
-            if mid is None:
-                return GammaResult("no lattice meet of %s and %s"
-                                   % (parts[i], parts[j]))
-            mids[(i, j)] = mid
-    restrictions, g1_cols = {}, []
+    mids = {(i, j): inst.order.meet(parts[i], parts[j])
+            for i, j in itertools.combinations(range(len(parts)), 2)}
+    for (i, j), mid in mids.items():
+        if mid is None:
+            return GammaResult("no lattice meet of %s and %s"
+                               % (parts[i], parts[j]))
+    g1_cols = []
     try:
         for (i, j), mid in mids.items():
-            into_i = restriction_hom(inst, mid, parts[i])
-            into_j = restriction_hom(inst, mid, parts[j])
-            restrictions[(i, j)] = (mid, into_i, into_j)
             # place at slot i, minus the same element at slot j
-            pair = (inj[i] @ into_i) - (inj[j] @ into_j)
+            pair = ((inj[i] @ restriction_hom(inst, mid, parts[i]))
+                    - (inj[j] @ restriction_hom(inst, mid, parts[j])))
             g1_cols += transpose(pair.matrix, pair.domain.rank)
     except (NotSubgroupError, HomDefinitionError) as exc:
         return GammaResult("meet data does not embed in the parts: %s"
@@ -218,15 +214,18 @@ def check_gamma_exact(inst, I, parts):
                    % (v,))
     if gap is not None:
         return GammaResult(gap)
-    return GammaResult(None, GammaComplex(g0, proj, restrictions))
+    return GammaResult(None, GammaComplex(g0, proj))
 
 
 # --- splittings ------------------------------------------------------------
 
 def restriction_hom(inst, lo, hi):
-    """Coordinates of K1(lo)[n] inside K1(hi)[n] (lo <= hi)."""
-    g_lo, incl_lo, _ = inst.torsion_sub(lo).as_group()
-    return _coords_hom(g_lo, incl_lo, inst.torsion_sub(hi).as_group())
+    """Coordinates of K1(lo)[n] inside K1(hi)[n] (lo <= hi), built
+    once per instance and remembered there; a failure is not."""
+    def build():
+        g_lo, incl_lo, _ = inst.torsion_sub(lo).as_group()
+        return _coords_hom(g_lo, incl_lo, inst.torsion_sub(hi).as_group())
+    return inst._memo(("restriction", lo, hi), build)
 
 
 def _check_is_splitting(inst, id, sig):
@@ -282,13 +281,14 @@ def _glue(inst, I, parts, sigmas):
     if not cert.ok:
         raise GluingError("Gamma complex is not exact under %r: %s"
                           % (I, cert.witness))
-    g0, proj, restrictions = cert.complex
+    g0, proj = cert.complex
     # Eq (4) among the parts at their pairwise lattice meets
-    for (i, j), (mid, ri, rj) in restrictions.items():
-        if sigmas[parts[i]] @ ri != sigmas[parts[j]] @ rj:
-            raise GluingError(
-                "sigmas at %r and %r disagree on their meet %r"
-                % (parts[i], parts[j], mid))
+    for a, b in itertools.combinations(parts, 2):
+        mid = inst.order.meet(a, b)
+        if (sigmas[a] @ restriction_hom(inst, mid, a)
+                != sigmas[b] @ restriction_hom(inst, mid, b)):
+            raise GluingError("sigmas at %r and %r disagree on their meet %r"
+                              % (a, b, mid))
     g_i, incl_i, _ = inst.torsion_sub(I).as_group()
     images = []
     for gen in g_i.gens():
@@ -321,8 +321,8 @@ def glue_comaximal(inst, I, parts, sigmas):
     exactness of the Gamma complex are verified first, which is exactly
     what makes the result independent of the preimage choice.  The
     complex is built and certified once, by check_gamma_exact; its
-    Gamma0, projections and pair restriction maps are then reused here,
-    not rebuilt.
+    Gamma0 and projections are then reused here, not rebuilt, and the
+    pair restriction maps are the ones restriction_hom remembers.
 
     With three or more parts, sigma_I is glued from the first two
     alone, and kept when sigma_I . iota(c, I) = sigma_c for every other
@@ -413,23 +413,24 @@ def verify_ideal_splitting(inst, fam):
     """Re-check a family against its instance, however it was produced.
 
     The ``coherence:lo<hi`` checks, one per comparable pair, are first
-    settled together against the top section.  The certificate holds
-    when every ``family-domain`` check has passed, K1(lo)[n] <=
-    K1(hi)[n] on every cover edge, and sigma_top . iota(lo, top) =
-    sigma_lo for every lo other than the top; then each pair is
-    recorded as passed.  When there is no top, or the certificate fails
-    or raises an IdealSplitError, each pair is checked on its own, with
-    the same names, verdicts and witnesses.
+    settled together on the cover edges: when sigma_hi . iota(lo, hi) =
+    sigma_lo holds on every cover edge (lo, hi), each pair is recorded
+    as passed.  When some edge's check fails or raises an
+    IdealSplitError, each pair is checked on its own, with the same
+    names, verdicts and witnesses.
 
-    Why the certificate decides every pair: lo < hi is a chain of cover
-    edges, so K1(lo)[n] <= K1(hi)[n] <= K1(top)[n] and each restriction
-    map iota exists.  They are coordinates of inclusions into one
-    ambient, so they compose: iota(hi, top) . iota(lo, hi) = iota(lo,
-    top).  Then sigma_hi . iota(lo, hi) = sigma_top . iota(hi, top) .
-    iota(lo, hi) = sigma_top . iota(lo, top) = sigma_lo.  So the
-    certificate only skips checks it has shown to pass, and the report
-    is the pairwise scan's either way.  It builds one restriction map
-    per ideal other than the top, where the scan builds one per pair.
+    Why the cover edges decide every pair: a comparable pair lo < hi is
+    a chain lo = c0 < c1 < ... < ck = hi of cover edges.  Each edge's
+    map exists, so K1(lo)[n] <= K1(c1)[n] <= ... <= K1(hi)[n] and
+    iota(lo, hi) exists.  The maps are the unique coordinates of
+    inclusions into one ambient, so they compose: iota(lo, hi) =
+    iota(c(k-1), hi) . ... . iota(lo, c1).  Peeling one edge at a time,
+    sigma_hi . iota(lo, hi) = sigma_c(k-1) . iota(lo, c(k-1)) = ... =
+    sigma_lo.  Cover edges are pairs themselves, so the certificate
+    fails exactly when some pair fails, and the report is the pairwise
+    scan's either way.  It needs no top, and it looks up one
+    restriction map per cover edge, where the scan looks up one per
+    pair.
     """
     results = []
     run = check_runner(results)
@@ -444,7 +445,6 @@ def verify_ideal_splitting(inst, fam):
                 return "codomain is not Kn"
             return None
         run("family-domain:%s" % i, domain_ok)
-    domains_ok = all(r.passed for r in results)
     for i in ids:
         def splits(i=i):
             sig = fam.sigma(i)
@@ -468,19 +468,16 @@ def verify_ideal_splitting(inst, fam):
             return None
         return check
 
-    def top_certifies():
-        top, sub = inst.order.top(), inst.torsion_sub
-        if top is None or not domains_ok or not all(
-                sub(lo) <= sub(hi) for lo, hi in inst.order.cover_edges()):
-            return False
+    def edges_certify():
         try:
-            return all(coherent(lo, top)() is None for lo in ids if lo != top)
+            return all(coherent(lo, hi)() is None
+                       for lo, hi in inst.order.cover_edges())
         except IdealSplitError:
             return False
 
     run.certified([("coherence:%s<%s" % (lo, hi), coherent(lo, hi))
                    for lo in ids for hi in ids
-                   if lo != hi and inst.order.leq(lo, hi)], top_certifies())
+                   if lo != hi and inst.order.leq(lo, hi)], edges_certify())
     return ValidationReport(results)
 
 

@@ -461,6 +461,15 @@ def test_gamma_check_bad_ids(tmp_path, capsys):
                  "--parts", "a,b"]) == 1  # parts not below bot
 
 
+def test_gamma_check_without_parts_is_a_usage_error(tmp_path, capsys):
+    path = write_instance(tmp_path, diamond24())
+    capsys.readouterr()
+    for parts in (",", ""):
+        assert main(["gamma-check", path, "--ideal", "top",
+                     "--parts", parts]) == 2
+        assert capsys.readouterr() == ("", "error: --parts names no ideal\n")
+
+
 # --- coherence-check ---------------------------------------------------------
 
 def test_coherence_check_ok(tmp_path, capsys):

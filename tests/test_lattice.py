@@ -133,15 +133,6 @@ def test_cover_edges_drop_transitive_input_edges():
                                        ("bot", "a"), ("bot", "b")]
 
 
-def test_equality_ignores_edge_presentation():
-    direct = chain3()
-    redundant = IdealLattice(["0", "1", "2"],
-                             [("0", "1"), ("1", "2"), ("0", "2")])
-    assert direct == redundant
-    assert hash(direct) == hash(redundant)
-    assert direct != diamond()
-
-
 def test_immutability_and_repr_are_pinned():
     lat = chain3()
     with pytest.raises(AttributeError) as info:

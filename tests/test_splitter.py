@@ -474,9 +474,7 @@ def test_gamma_result_carries_the_certified_complex():
     res = check_gamma_exact(inst, "top", ["a", "b"])
     subs = [inst.torsion_sub("a"), inst.torsion_sub("b")]
     g0, _, proj = splitter.gamma0(subs)
-    assert res.complex == (g0, proj, {
-        (0, 1): ("m", restriction_hom(inst, "m", "a"),
-                 restriction_hom(inst, "m", "b"))})
+    assert res.complex == (g0, proj)
     # a complex that is not exact is not handed on
     coords = dict(STEM, m=((0,), ()))
     bad, _ = aligned(FgGroup((), 2), FgGroup((2, 2)), 2, coords)
@@ -705,35 +703,48 @@ def test_verify_flags_missing_sigma():
                for r in report.failures())
 
 
-def test_verify_builds_one_restriction_map_per_non_top_ideal(monkeypatch):
-    # counts, not timing: the 211 coherence checks of a valid 2^5 family
-    # are settled against the top section, one restriction map per
-    # other ideal, where the pairwise scan builds one per pair
-    inst = boolean_instance(5)
-    fam = build_ideal_splitting(inst)
-    calls = []
-    restrict = splitter.restriction_hom
+def test_each_restriction_map_is_built_once_per_cover_edge(monkeypatch):
+    # counts, not timing: over the build and verify of a valid family
+    # each coordinate map is built once per instance, and every map the
+    # pipeline reads is a cover-edge map, so the builds equal the cover
+    # edges; verify looks up one map per cover edge, where the pairwise
+    # scan would look up one per comparable pair
+    built, read = [], []
+    coords, restrict = splitter._coords_hom, splitter.restriction_hom
 
-    def counted(inst, lo, hi):
-        calls.append((lo, hi))
+    def counted_coords(*args):
+        built.append(args)
+        return coords(*args)
+
+    def counted_restrict(inst, lo, hi):
+        read.append((lo, hi))
         return restrict(inst, lo, hi)
 
-    monkeypatch.setattr(splitter, "restriction_hom", counted)
-    report = verify_ideal_splitting(inst, fam)
-    assert report.ok
-    assert sum(r.name.startswith("coherence:") for r in report) == 211
-    top = inst.order.top()
-    assert calls == [(i, top) for i in inst.order.nodes if i != top]
+    monkeypatch.setattr(splitter, "_coords_hom", counted_coords)
+    monkeypatch.setattr(splitter, "restriction_hom", counted_restrict)
+    for inst, edges, pairs in ((boolean_instance(5), 80, 211),
+                               (boolean_instance(4), 32, 65),
+                               (dp_truncation(2, 8, 7), 9, 45)):
+        built.clear()
+        fam = build_ideal_splitting(inst)
+        read.clear()
+        report = verify_ideal_splitting(inst, fam)
+        assert report.ok
+        assert sum(r.name.startswith("coherence:") for r in report) == pairs
+        assert len(built) == len(inst.order.cover_edges()) == edges
+        assert read == list(inst.order.cover_edges())
 
 
 def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
     # the report equals its first three check families followed by the
     # pairwise coherence scan, byte for byte: on valid families, on
     # families broken at one ideal, on the families that split --force
-    # builds for planted defects, on zero families where the
-    # certificate does not apply (no top, K1 shrinking along a cover
-    # edge into the top or below it), and where a restriction map to
-    # the top cannot be built
+    # builds for planted defects, on zero families with no top or with
+    # K1 shrinking along a cover edge into the top or below it, on the
+    # coherent built family of an order with no top (which the cover
+    # edges certify), on the stem's built family over the stem with K1
+    # shrinking along the cover edge m < a (which they reject), and
+    # where a restriction map to the top cannot be built
     seen = collections.Counter()
 
     def agrees(inst, fam):
@@ -777,6 +788,9 @@ def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
         "a", a.K0_sub, basis_sub(FgGroup((2, 2)), (1,)), a.Kn_sub))
     for inst in (no_top_instance(), shrunk_top, shrunk_a):
         agrees(inst, zero_family(inst))
+    no_top = no_top_instance()
+    agrees(no_top, build_ideal_splitting(no_top, validate=False))
+    agrees(shrunk_a, build_ideal_splitting(stem))
     restrict = splitter.restriction_hom
 
     def unbuildable(inst, lo, hi):
@@ -786,7 +800,7 @@ def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
 
     monkeypatch.setattr(splitter, "restriction_hom", unbuildable)
     agrees(diamond, build_ideal_splitting(diamond))
-    assert seen == {"coherent": 25, "incoherent": 51, "forced": 21}
+    assert seen == {"coherent": 26, "incoherent": 52, "forced": 21}
 
 
 def test_build_rejects_invalid_instance():
