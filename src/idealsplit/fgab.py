@@ -167,22 +167,22 @@ class GroupHom:
     __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain, codomain, matrix):
-        if len(matrix) != codomain.rank or any(
-                len(row) != domain.rank for row in matrix):
+        rows, cols = codomain.rank, domain.rank
+        if len(matrix) != rows or any(len(row) != cols for row in matrix):
             raise HomDefinitionError(
-                "matrix shape does not match %dx%d"
-                % (codomain.rank, domain.rank))
+                "matrix shape does not match %dx%d" % (rows, cols))
         cod_orders = codomain.orders
         dom_orders = domain.orders
         norm = []
-        for i in range(codomain.rank):
+        for i in range(rows):
             e = cod_orders[i]
-            norm.append(tuple(int(x) % e if e else int(x) for x in matrix[i]))
-        for j in range(domain.rank):
+            norm.append(tuple([int(x) % e for x in matrix[i]] if e
+                              else [int(x) for x in matrix[i]]))
+        for j in range(cols):
             d = dom_orders[j]
             if d == 0:
                 continue
-            for i in range(codomain.rank):
+            for i in range(rows):
                 e = cod_orders[i]
                 bad = (norm[i][j] * d % e) if e else (norm[i][j] * d)
                 if bad:
@@ -287,17 +287,20 @@ class Subgroup:
     __slots__ = ("ambient", "generators", "_group_cache")
 
     def __init__(self, ambient, gens):
+        n = ambient.rank
         rows = []
         for g in gens:
-            if len(g) != ambient.rank:
+            if len(g) != n:
                 raise AmbientMismatchError(
                     "generator has %d coordinates, ambient rank is %d"
-                    % (len(g), ambient.rank))
+                    % (len(g), n))
             rows.append([int(x) for x in g])
         for i, d in enumerate(ambient.orders):
             if d:
-                rows.append([d if j == i else 0 for j in range(ambient.rank)])
-        basis = intmat.hnf_nonzero(rows, cols=ambient.rank)
+                row = [0] * n
+                row[i] = d
+                rows.append(row)
+        basis = intmat.hnf_nonzero(rows, cols=n)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", tuple(tuple(r) for r in basis))
         object.__setattr__(self, "_group_cache", [None])

@@ -67,6 +67,12 @@ def _int(x, where):
     return x
 
 
+def _ints(xs, where):
+    if set(map(type, xs)) <= {int}:
+        return list(xs)
+    return [_int(x, where) for x in xs]
+
+
 def _str(x, where):
     if not isinstance(x, str):
         raise SchemaError("%s: expected a string, got %r" % (where, x))
@@ -128,7 +134,7 @@ def _entries_from_json(obj, where):
         if len(row) != cols:
             raise SchemaError("%s: row %d has %d entries, declared cols %d"
                               % (where, i, len(row), cols))
-        out.append([_int(x, "%s.entries[%d]" % (where, i)) for x in row])
+        out.append(_ints(row, "%s.entries[%d]" % (where, i)))
     return rows, cols, out
 
 
@@ -149,7 +155,7 @@ def _vectors_from_json(obj, ambient, where):
         if len(vec) != ambient.rank:
             raise SchemaError("%s[%d]: vector length %d, ambient rank %d"
                               % (where, i, len(vec), ambient.rank))
-        vecs.append([_int(x, "%s[%d]" % (where, i)) for x in vec])
+        vecs.append(_ints(vec, "%s[%d]" % (where, i)))
     return vecs
 
 

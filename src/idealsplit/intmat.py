@@ -275,11 +275,14 @@ def column_echelon(mat, cols=None):
     h = transpose(ht, cols=r)
     v = transpose(ut, cols=c)
     pivots = []
+    pj = 0
     for k in range(c):
-        pj = next((j for j in range(r) if ht[k][j]), None)
-        if pj is None:
+        while pj < r and not ht[k][pj]:
+            pj += 1
+        if pj == r:
             break
         pivots.append((pj, k))
+        pj += 1
     return h, v, pivots
 
 
@@ -309,21 +312,24 @@ def reduce_vector(vec, basis, track=False):
     ``vec + lattice`` whose pivot coordinates lie in ``[0, pivot)``, and
     reduction to zero is exactly lattice membership.  The basis rows are
     independent, so the quotients of a member are its unique coordinates.
-    The rows of a canonical basis are nonzero and their pivots strictly
-    increase, so the search for each row's pivot resumes just after the
-    previous one.
+    Basis rows must be nonzero, as ``hnf_nonzero`` and
+    ``Subgroup.generators`` guarantee; their pivots strictly increase, so
+    each pivot search resumes after the previous one.  A zero quotient,
+    as from a zero entry at the pivot, skips the row.
     """
     w = list(vec)
     coeffs = []
-    start = 0
+    pj = 0
     for row in basis:
-        pj = next(j for j in range(start, len(row)) if row[j])
-        start = pj + 1
-        q = w[pj] // row[pj]
+        while not row[pj]:
+            pj += 1
+        x = w[pj]
+        q = x // row[pj] if x else 0
         if q:
             for j in range(pj, len(row)):
                 w[j] -= q * row[j]
         coeffs.append(q)
+        pj += 1
     if track:
         return w, coeffs
     return w

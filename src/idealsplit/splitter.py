@@ -181,7 +181,7 @@ def check_gamma_exact(inst, I, parts):
     glue_comaximal to reuse.
     """
     parts = list(parts)
-    if not inst.order.is_comaximal_family(I, parts):
+    if not inst.order.is_comaximal_family(I, parts) or not parts:
         raise NotComaximalError("parts %r are not comaximal under %r"
                                 % (parts, I))
     subs = [inst.torsion_sub(p) for p in parts]

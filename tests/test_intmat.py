@@ -10,14 +10,16 @@ to certify itself.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealsplit import intmat
+from idealsplit import fixtures, intmat
 from oracles import (column_lattice, full_scan_reduce, kernel_columns,
                      solve_columns)
+from test_kunneth import boolean_instance
 
 
 # --- oracles -----------------------------------------------------------
@@ -305,6 +307,77 @@ def test_reduce_vector_matches_full_scan():
                     == full_scan_reduce(vec, basis, track)
             members += not any(intmat.reduce_vector(vec, basis))
     assert 0 < members < 600
+    # the K0, K1 and Kn bases of real instances, each against every
+    # other node's generators of the same kind
+    tried = members = 0
+    for inst in instance_bases():
+        nodes = [inst.node(i) for i in inst.order.nodes]
+        for kind in ("K0_sub", "K1_sub", "Kn_sub"):
+            for node in nodes:
+                basis = getattr(node, kind).generators
+                for other in nodes:
+                    if other is node:
+                        continue
+                    for vec in getattr(other, kind).generators:
+                        assert intmat.reduce_vector(vec, basis) \
+                            == full_scan_reduce(vec, basis)
+                        got = intmat.reduce_vector(vec, basis, True)
+                        assert got == full_scan_reduce(vec, basis, True)
+                        tried += 1
+                        members += not any(got[0])
+    assert 0 < members < tried
+
+
+def instance_bases():
+    """``dp_truncation(2, 16, 15)`` and one twisted Boolean 2^5."""
+    cube = boolean_instance(5)
+    tensor, torsion = cube.tensor()[0], cube.torsion()[0]
+    twist = fixtures.random_hom(torsion, tensor, random.Random(5))
+    return [fixtures.dp_truncation(2, 16, 15),
+            fixtures.twist_instance(cube, twist)]
+
+
+def frames_opened(fn, *args):
+    """(code name, caller's code name) of each Python frame that one
+    call of ``fn`` opens, itself included."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def largest_kn_basis():
+    inst = fixtures.dp_truncation(2, 16, 15)
+    return max((inst.node(i).Kn_sub.generators for i in inst.order.nodes),
+               key=len)
+
+
+def test_reduce_vector_opens_no_frame_but_its_own():
+    # a count, not a time: a generator per basis row would show here
+    basis = largest_kn_basis()
+    assert len(basis) > 30
+    member = [sum(col) for col in zip(*basis)]
+    outsider = [1] * len(basis[0])
+    for vec in (member, outsider):
+        for track in (False, True):
+            assert frames_opened(intmat.reduce_vector, vec, basis, track) \
+                == [("reduce_vector", "frames_opened")]
+
+
+def test_column_echelon_opens_no_frame_but_its_kernels():
+    basis = [list(row) for row in largest_kn_basis()]
+    called = {name for name, caller
+              in frames_opened(intmat.column_echelon, basis)
+              if caller == "column_echelon"}
+    assert called == {"shape", "hnf_rows", "transpose"}
 
 
 # --- the column-echelon oracles other tests compare against ------------

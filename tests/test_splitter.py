@@ -125,6 +125,14 @@ def test_check_gamma_exact_rejects_non_comaximal():
         check_gamma_exact(inst, "top", ["bot", "a"])
 
 
+def test_check_gamma_exact_rejects_an_empty_part_list():
+    # no pair to test, so the family check alone would pass it
+    inst, _ = diamond_instance()
+    with pytest.raises(NotComaximalError) as exc:
+        check_gamma_exact(inst, "top", [])
+    assert str(exc.value) == "parts [] are not comaximal under 'top'"
+
+
 def test_check_gamma_exact_uses_stored_meet_data():
     # K1(a) and K1(b) overlap in <f0> but the stored bottom is trivial,
     # so the kernel of Gamma0 is not covered by Gamma1
