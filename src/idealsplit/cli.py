@@ -188,12 +188,12 @@ def cmd_gamma_check(args):
     unknown = [x for x in parts + [args.ideal] if x not in inst.order.nodes]
     if unknown:
         raise SchemaError("unknown ideal id %r" % unknown[0])
-    res = check_gamma_exact(inst, args.ideal, parts)
-    if res.ok:
+    witness = check_gamma_exact(inst, args.ideal, parts)
+    if witness is None:
         sys.stdout.write("Gamma complex is exact at %r over %s\n"
                          % (args.ideal, parts))
         return EXIT_OK
-    sys.stdout.write("FAIL gamma-exactness: %s\n" % res.witness)
+    sys.stdout.write("FAIL gamma-exactness: %s\n" % witness)
     return EXIT_CHECK
 
 

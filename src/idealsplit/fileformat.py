@@ -284,9 +284,13 @@ def family_to_json(fam):
 
 
 def _coeff_key(text, ns, where):
+    # the canonical spelling only: int() also reads "02", "+4", " 4" and
+    # "0_4", and a second spelling of a key would overwrite the first
     try:
         n = int(text)
     except ValueError:
+        n = None
+    if n is None or text != str(n):
         raise SchemaError("%s: bad coefficient key %r" % (where, text))
     if n not in ns:
         raise SchemaError("%s: coefficient %d not in the family" % (where, n))

@@ -205,11 +205,14 @@ def smith_form(mat, cols=None):
             row[j] -= q * row[l]
 
     def find_pivot(t):
+        # a unit cannot be beaten, and the scan is in (row, col) order
         bi = bj = -1
         for i in range(t, r):
             for j in range(t, c):
                 val = d[i][j]
                 if val and (bi < 0 or abs(val) < abs(d[bi][bj])):
+                    if val in (1, -1):
+                        return i, j
                     bi, bj = i, j
         return bi, bj
 

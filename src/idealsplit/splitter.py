@@ -7,20 +7,19 @@ K1(J1)[n].  The builder walks the lattice in next_ideal order: the
 bottom gets the zero section, an ideal with a unique maximal subideal
 gets the canonical solution of one congruence system (the only
 extension path; it is complete, so None means no extension exists), and
-an ideal with several maximal subideals is glued along a Gamma complex,
-with the well-definedness of the glue verified rather than assumed.
-Two of those subideals suffice, and the glue checks that the result
-restricts to every other one (glue_comaximal has the proof; on any
-failure it glues from all of them).  Each glue builds and certifies one
-Gamma complex (check_gamma_exact; Gamma1 only as its image) and reuses
-its Gamma0 and projections.  A section is certified once per instance.
-The restriction maps iota(lo, hi), K1(lo)[n] inside K1(hi)[n], are
-instance data: restriction_hom builds each once per instance.  On a
-distributive lattice every map the builder reads is a cover edge's
-(GammaComplex says why), and verify_ideal_splitting settles its
-coherence checks, one per comparable pair, on the cover edges alone,
-since the maps compose (its docstring has the proof); when an edge
-fails it runs them one by one.
+an ideal with several maximal subideals is glued over Gamma0-preimages
+from two of them (from all of them only when two do not reach K1(I)[n]).
+The glue certifies its output, not its inputs: the result must be a
+section that restricts to every maximal subideal, and that check alone
+decides whether a glue exists (glue_comaximal has the proof).
+check_gamma_exact certifies the Gamma complex itself, for the
+gamma-check command and the tests.  A section is certified once per
+instance.  The restriction maps iota(lo, hi), K1(lo)[n] inside
+K1(hi)[n], are instance data: restriction_hom builds each once per
+instance.  The builder reads them on cover edges only, and
+verify_ideal_splitting settles its coherence checks, one per
+comparable pair, on the cover edges alone, since the maps compose (its
+docstring has the proof); when an edge fails it runs them one by one.
 exhaustive_ideal_splittings is the independent brute-force
 cross-check of the builder: it filters the sections that
 enumerate_splittings finds for the top row by exhaustion.
@@ -39,7 +38,6 @@ sections, a ComplexIso by identity.
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 from .errors import (AmbientMismatchError, GluingError,
                      HomDefinitionError, IdealSplitError,
@@ -99,31 +97,6 @@ class ComplexIso:
         return "ComplexIso(%d ideals)" % len(self.pairing)
 
 
-class GammaComplex(NamedTuple):
-    """The pieces of a certified Gamma complex that gluing reuses.
-
-    ``gamma0`` maps the direct sum of the parts' K1(part)[n] to K1[n];
-    ``projections`` are that sum's, one per part.  The pair maps are
-    read through restriction_hom.  For lower covers c1, c2 of I in a
-    distributive (so modular) lattice, m = c1 ^ c2 is covered by both:
-    x -> x v c1 maps [m, c2] onto [c1, I] with inverse y -> y ^ c2, and
-    [c1, I] has no inner element.  So every map a glue reads is a
-    cover-edge map, built once per instance.
-    """
-    gamma0: GroupHom
-    projections: list
-
-
-class GammaResult(NamedTuple):
-    """A Gamma check's witness, or None and the certified complex."""
-    witness: Optional[str]
-    complex: Optional[GammaComplex] = None
-
-    @property
-    def ok(self):
-        return self.witness is None
-
-
 # --- the Gamma complex -----------------------------------------------------
 
 def _common_ambient(parts):
@@ -176,9 +149,9 @@ def check_gamma_exact(inst, I, parts):
     planted lattice-law defect surfaces here as a kernel witness rather
     than being silently repaired by recomputing true intersections.
     Gamma1 is never built: its image is spanned by the columns of the
-    pair maps ``inj_i . into_i - inj_j . into_j``.  The complex is built
-    once; when it is exact the result carries it (a GammaComplex) for
-    glue_comaximal to reuse.
+    pair maps ``inj_i . into_i - inj_j . into_j``.  Returns the witness
+    of the first failure, or None when the complex is exact.  The
+    builder does not call it: glue_comaximal certifies its result.
     """
     parts = list(parts)
     if not inst.order.is_comaximal_family(I, parts) or not parts:
@@ -186,13 +159,12 @@ def check_gamma_exact(inst, I, parts):
                                 % (parts, I))
     subs = [inst.torsion_sub(p) for p in parts]
     target = inst.torsion_sub(I)
-    g0, inj, proj = gamma0(subs)
+    g0, inj, _ = gamma0(subs)
     mids = {(i, j): inst.order.meet(parts[i], parts[j])
             for i, j in itertools.combinations(range(len(parts)), 2)}
     for (i, j), mid in mids.items():
         if mid is None:
-            return GammaResult("no lattice meet of %s and %s"
-                               % (parts[i], parts[j]))
+            return "no lattice meet of %s and %s" % (parts[i], parts[j])
     g1_cols = []
     try:
         for (i, j), mid in mids.items():
@@ -201,8 +173,7 @@ def check_gamma_exact(inst, I, parts):
                     - (inj[j] @ restriction_hom(inst, mid, parts[j])))
             g1_cols += transpose(pair.matrix, pair.domain.rank)
     except (NotSubgroupError, HomDefinitionError) as exc:
-        return GammaResult("meet data does not embed in the parts: %s"
-                           % (exc,))
+        return "meet data does not embed in the parts: %s" % (exc,)
     gap = _gap(target, image(g0),
                lambda v: "Gamma0 misses %r of K1(%s)[n]" % (v, I),
                lambda v: "Gamma0 image escapes K1(%s)[n] at %r" % (I, v))
@@ -212,9 +183,7 @@ def check_gamma_exact(inst, I, parts):
                    % (v,),
                    lambda v: "%r lies in im Gamma1 but not in ker Gamma0"
                    % (v,))
-    if gap is not None:
-        return GammaResult(gap)
-    return GammaResult(None, GammaComplex(g0, proj))
+    return gap
 
 
 # --- splittings ------------------------------------------------------------
@@ -273,98 +242,82 @@ def _extend_solver(inst, lo, hi, tau):
 
 
 def _glue(inst, I, parts, sigmas):
-    """sigma_I from checked sections at ``parts`` along their Gamma
-    complex, certified exact first; GluingError when it is not, when
-    two parts disagree on their meet, or when the result is no
-    section."""
-    cert = check_gamma_exact(inst, I, parts)
-    if not cert.ok:
-        raise GluingError("Gamma complex is not exact under %r: %s"
-                          % (I, cert.witness))
-    g0, proj = cert.complex
-    # Eq (4) among the parts at their pairwise lattice meets
-    for a, b in itertools.combinations(parts, 2):
-        mid = inst.order.meet(a, b)
-        if (sigmas[a] @ restriction_hom(inst, mid, a)
-                != sigmas[b] @ restriction_hom(inst, mid, b)):
-            raise GluingError("sigmas at %r and %r disagree on their meet %r"
-                              % (a, b, mid))
+    """sigma_I from the sections at ``parts``: sigma_I(y) = sum
+    sigma_p(y_p) over one canonical Gamma0-preimage (y_p) of each
+    generator y of K1(I)[n].  Gamma0 is taken over the first two parts,
+    and over all of them only when it misses a generator."""
     g_i, incl_i, _ = inst.torsion_sub(I).as_group()
-    images = []
-    for gen in g_i.gens():
-        w = hom_preimage(g0, incl_i(gen))
-        if w is None:
-            raise GluingError("no Gamma0 preimage for %r" % (gen,))
-        total = inst.coeff.Kn.zero()
-        for k, p in enumerate(parts):
-            yk = proj[k](w)
-            total = inst.coeff.Kn.add(total, sigmas[p](yk))
-        images.append(total)
+    for glued in (parts[:2], parts):
+        g0, _, proj = gamma0([inst.torsion_sub(p) for p in glued])
+        pre = [hom_preimage(g0, incl_i(gen)) for gen in g_i.gens()]
+        if None not in pre:
+            break
+    else:
+        raise GluingError("no Gamma0 preimage for %r"
+                          % (g_i.gens()[pre.index(None)],))
+    summed = GroupHom.zero(g0.domain, inst.coeff.Kn)
+    for p, pr in zip(glued, proj):
+        summed = summed + sigmas[p] @ pr
     try:
-        sigma = GroupHom.from_images(g_i, inst.coeff.Kn, images)
+        return GroupHom.from_images(g_i, inst.coeff.Kn,
+                                    [summed(w) for w in pre])
     except HomDefinitionError as exc:
         raise GluingError("glued images do not define a hom: %s" % (exc,))
-    # the construction guarantees these for valid input; certify anyway
-    try:
-        _check_is_splitting(inst, I, sigma)
-    except NotASplittingError as exc:
-        raise GluingError("glued map is not a section at %r: %s" % (I, exc))
-    return sigma
 
 
 def glue_comaximal(inst, I, parts, sigmas):
     """Assemble sigma_I from sections at a comaximal family of parts.
 
-    Every part's section is checked first.  For each generator y of
-    K1(I)[n] a Gamma0-preimage (y_1, ..., y_N) is solved and sigma_I(y)
-    = sum sigma_i(y_i).  Coherence of the inputs on pairwise meets and
-    exactness of the Gamma complex are verified first, which is exactly
-    what makes the result independent of the preimage choice.  The
-    complex is built and certified once, by check_gamma_exact; its
-    Gamma0 and projections are then reused here, not rebuilt, and the
-    pair restriction maps are the ones restriction_hom remembers.
+    The parts' sections are checked, then the family.  The glue is kept
+    only when it is a section at I and sigma_I . iota(c, I) = sigma_c
+    for every part c; a GluingError names what failed.  So the result
+    is certified, not the inputs (check_gamma_exact certifies the Gamma
+    complex, for the gamma-check command).
 
-    With three or more parts, sigma_I is glued from the first two
-    alone, and kept when sigma_I . iota(c, I) = sigma_c for every other
-    part c.  Any failure on that path (the two are not comaximal, their
-    complex is not exact, they disagree on their meet, or the result
-    misses another part) glues from all the parts, and only that glue
-    reports an error.  So errors are the all-parts glue's, except that
-    a two-part glue that succeeds hides a non-exact all-parts complex.
+    The check decides whether a glue exists.  When the Gamma0 used
+    reaches K1(I)[n], any section tau at I that restricts to every part
+    is the glued map: a generator y with preimage (y_p) is sum
+    iota(p, I)(y_p), so tau(y) = sum sigma_p(y_p), whichever preimage
+    was taken.  So when the glued map fails, no glue exists and more
+    parts cannot help: they are used only when Gamma0 over the first
+    two misses a generator.
 
-    Why two parts suffice on a valid instance, where the parts are the
-    lower covers of I.  Distinct lower covers c1, c2 of I are
+    Two lower covers c1, c2 of I suffice on a valid instance.  They are
     incomparable, so c1 < c1 v c2 <= I, and c1 v c2 = I since c1 is a
-    cover.  Write m = c1 ^ c2, A = K1(c1), B = K1(c2), M = K1(m).  The
-    lattice laws give A + B = K1(I) and A meet B = M, so the two-part
-    complex is exact in the middle: ker Gamma0 is the antidiagonal copy
-    of A[n] meet B[n] = (A meet B)[n] = M[n], which is im Gamma1.  It is
-    exact on the right by purity: for y = a + b in K1(I)[n], na = -nb
-    lies in M and in nK1, and M is pure, so na = nz for some z in M;
-    then y = (a - z) + (b + z) with a - z in A[n] and b + z in B[n].
-    So Gamma0 is onto and sigma_I is fixed by sigma_c1 and sigma_c2.
-    For any other lower cover c, distributivity gives
-    c = c ^ (c1 v c2) = (c ^ c1) v (c ^ c2), and the same purity
-    argument gives K1(c)[n] = K1(c ^ c1)[n] + K1(c ^ c2)[n].  The
-    family below I is coherent, so sigma_I agrees with sigma_c on both
-    summands, and sigma_I . iota(c, I) = sigma_c.  The all-parts glue
-    restricts to every part too, so the two glues agree on the two-part
-    Gamma0's image, all of K1(I)[n]: the family is the same either way.
+    cover.  With m = c1 ^ c2, A = K1(c1), B = K1(c2) and M = K1(m), the
+    lattice laws give A + B = K1(I) and A meet B = M.  For y = a + b in
+    K1(I)[n], na = -nb lies in M and in nK1, and M is pure, so na = nz
+    for some z in M; then y = (a - z) + (b + z) with a - z in A[n] and
+    b + z in B[n].  So Gamma0 over c1 and c2 is onto K1(I)[n].  For any
+    other lower cover c, distributivity gives c = (c ^ c1) v (c ^ c2),
+    and the same purity argument gives K1(c)[n] = K1(c ^ c1)[n] +
+    K1(c ^ c2)[n].  The family below I is coherent, so a glue that
+    restricts to c1 and c2 agrees with sigma_c on both summands, and so
+    restricts to c.
     """
     parts = list(parts)
     for p in parts:
         if p not in sigmas:
             raise MissingSigmaError("no sigma for part %r" % (p,))
         _check_is_splitting(inst, p, sigmas[p])
-    if len(parts) > 2:
+    if not inst.order.is_comaximal_family(I, parts) or not parts:
+        raise NotComaximalError("parts %r are not comaximal under %r"
+                                % (parts, I))
+    sigma = _glue(inst, I, parts, sigmas)
+    try:
+        _check_is_splitting(inst, I, sigma)
+    except NotASplittingError as exc:
+        raise GluingError("glued map is not a section at %r: %s" % (I, exc))
+    for c in parts:
         try:
-            sigma = _glue(inst, I, parts[:2], sigmas)
-            if all(sigma @ restriction_hom(inst, c, I) == sigmas[c]
-                   for c in parts[2:]):
-                return sigma
-        except IdealSplitError:
-            pass
-    return _glue(inst, I, parts, sigmas)
+            iota = restriction_hom(inst, c, I)
+        except NotSubgroupError as exc:
+            raise GluingError("no restriction map from %r to %r: %s"
+                              % (c, I, exc))
+        if sigma @ iota != sigmas[c]:
+            raise GluingError("glued map at %r does not restrict to the "
+                              "section at %r" % (I, c))
+    return sigma
 
 
 def build_ideal_splitting(inst, validate=True):

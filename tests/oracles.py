@@ -284,7 +284,8 @@ def all_covers_family(inst):
             sigmas[x] = splitter._extend_solver(inst, covers[0], x,
                                                 sigmas[covers[0]])
         else:
-            g0, proj = splitter.check_gamma_exact(inst, x, covers).complex
+            g0, _, proj = splitter.gamma0([inst.torsion_sub(c)
+                                           for c in covers])
             images = []
             for gen in g.gens():
                 w = fgab.hom_preimage(g0, incl(gen))

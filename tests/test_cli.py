@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import copy
 import json
 import os
 import subprocess
@@ -520,6 +521,23 @@ def run_coherence_check(tmp_path, capsys, doc):
     code = main(["coherence-check", str(path)])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_coherence_check_rejects_alias_coefficient_keys(tmp_path, capsys):
+    # a broken entry under a second spelling of a key was read, then
+    # overwritten by the canonical entry, and every check passed
+    for block, key, alias, bad in (("kappa", "4,2", "4,02", "02"),
+                                   ("lambda", "4,2", "+4,2", "+4"),
+                                   ("sigmas", "4", " 4", " 4"),
+                                   ("sigmas", "4", "0_4", "0_4")):
+        doc = family_doc()
+        entries = doc["coherent_family"][block]
+        entries[alias] = copy.deepcopy(entries[key])
+        row = entries[alias]["entries"][0]
+        row[0] = (row[0] + 2) % 4
+        assert run_coherence_check(tmp_path, capsys, doc) == (
+            2, "", "error: instance.coherent_family.%s: "
+            "bad coefficient key %r\n" % (block, bad))
 
 
 def test_coherence_check_incoherent_family_output(tmp_path, capsys):

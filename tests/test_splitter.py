@@ -115,22 +115,33 @@ def test_gamma_ambient_mismatch():
 
 def test_check_gamma_exact_on_diamond():
     inst, _ = diamond_instance()
-    res = check_gamma_exact(inst, "top", ["a", "b"])
-    assert res.ok and res.witness is None
+    assert check_gamma_exact(inst, "top", ["a", "b"]) is None
+
+
+def gamma_and_glue(inst, parts):
+    """check_gamma_exact, and glue_comaximal over the natural sections,
+    which checks its parts as check_gamma_exact does."""
+    sigmas = {i: natural_sigma(inst, parts, i) for i in inst.order.nodes}
+    return (check_gamma_exact,
+            lambda inst, I, ps: glue_comaximal(inst, I, ps, sigmas))
 
 
 def test_check_gamma_exact_rejects_non_comaximal():
-    inst, _ = diamond_instance()
-    with pytest.raises(NotComaximalError):
-        check_gamma_exact(inst, "top", ["bot", "a"])
+    inst, parts = diamond_instance()
+    for check in gamma_and_glue(inst, parts):
+        with pytest.raises(NotComaximalError) as exc:
+            check(inst, "top", ["bot", "a"])
+        assert str(exc.value) == \
+            "parts ['bot', 'a'] are not comaximal under 'top'"
 
 
 def test_check_gamma_exact_rejects_an_empty_part_list():
     # no pair to test, so the family check alone would pass it
-    inst, _ = diamond_instance()
-    with pytest.raises(NotComaximalError) as exc:
-        check_gamma_exact(inst, "top", [])
-    assert str(exc.value) == "parts [] are not comaximal under 'top'"
+    inst, parts = diamond_instance()
+    for check in gamma_and_glue(inst, parts):
+        with pytest.raises(NotComaximalError) as exc:
+            check(inst, "top", [])
+        assert str(exc.value) == "parts [] are not comaximal under 'top'"
 
 
 def test_check_gamma_exact_uses_stored_meet_data():
@@ -139,9 +150,7 @@ def test_check_gamma_exact_uses_stored_meet_data():
     coords = {"bot": ((), ()), "a": ((0,), (0,)),
               "b": ((1,), (0, 1)), "top": ((0, 1), (0, 1))}
     inst, _ = aligned(Z2, FgGroup((2, 4)), 2, coords)
-    res = check_gamma_exact(inst, "top", ["a", "b"])
-    assert not res.ok
-    assert "ker Gamma0" in res.witness
+    assert "ker Gamma0" in check_gamma_exact(inst, "top", ["a", "b"])
     # with the true intersections the complex is exact
     subs = [inst.torsion_sub("a"), inst.torsion_sub("b")]
     assert kernel(gamma0(subs)) == image(gamma1(subs))
@@ -199,8 +208,7 @@ def test_check_gamma_exact_pins_every_witness():
          "(1, 1, 0) lies in ker Gamma0 but not in im Gamma1"),
     ]
     for inst, witness in cases:
-        res = check_gamma_exact(inst, "top", ["a", "b"])
-        assert (res.ok, res.witness) == (False, witness)
+        assert check_gamma_exact(inst, "top", ["a", "b"]) == witness
 
 
 # --- fixtures beyond the diamond -------------------------------------------
@@ -430,20 +438,23 @@ def test_glue_rejects_incoherent_sigmas():
     # pi(e0) of Kn(b), so it disagrees with sigma_a on the meet m
     w = GroupHom(parts.T1, parts.T, [[1, 0], [0, 0]])
     sigma_b = (parts.i2 @ incl_b) + (parts.i1 @ w @ incl_b)
-    with pytest.raises(GluingError, match="meet"):
+    with pytest.raises(GluingError) as info:
         glue_comaximal(inst, "top", ["a", "b"],
                        {"a": sigma_a, "b": sigma_b})
+    assert str(info.value) == \
+        "glued map at 'top' does not restrict to the section at 'a'"
 
 
 def test_glue_rejects_unreachable_target():
     # parts with no torsion data cannot cover K1(top)[n]; gluing does
-    # not assume a globally valid instance, it certifies the complex
+    # not assume a globally valid instance, Gamma0 must reach the target
     coords = {"bot": ((), ()), "a": ((0,), ()),
               "b": ((1,), ()), "top": ((0, 1), (0,))}
     inst, parts = aligned(Z2, FgGroup((2, 2)), 2, coords)
     sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
-    with pytest.raises(GluingError, match="exact"):
+    with pytest.raises(GluingError) as info:
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == "no Gamma0 preimage for (1,)"
 
 
 def test_glue_wraps_only_hom_definition_errors(monkeypatch):
@@ -477,30 +488,11 @@ def test_glue_missing_sigma():
                        {"a": natural_sigma(inst, parts, "a")})
 
 
-def test_gamma_result_carries_the_certified_complex():
-    inst, _ = stem_instance()
-    res = check_gamma_exact(inst, "top", ["a", "b"])
-    subs = [inst.torsion_sub("a"), inst.torsion_sub("b")]
-    g0, _, proj = splitter.gamma0(subs)
-    assert res.complex == (g0, proj)
-    # a complex that is not exact is not handed on
-    coords = dict(STEM, m=((0,), ()))
-    bad, _ = aligned(FgGroup((), 2), FgGroup((2, 2)), 2, coords)
-    res = check_gamma_exact(bad, "top", ["a", "b"])
-    assert not res.ok and res.complex is None
-
-
 def test_glue_builds_its_gamma_complex_once(monkeypatch):
-    # counts, not timing: each glue builds one direct sum, that of the
-    # two parts it glues from (for Gamma0 inside check_gamma_exact),
-    # and reuses it; im Gamma1 is spanned by the pair maps, on no sum
-    # of the pairs; and an exact complex is settled by identity: its
-    # Gamma comparisons return at a == b, without a membership scan
+    # counts, not timing: each glue builds one Gamma0, over the first
+    # two parts, so one direct sum of their K1(part)[n]
     glues = []
-    seen = collections.Counter()
-    depth = [0]
     direct_sum, glue = splitter.direct_sum, splitter.glue_comaximal
-    gap, contains = splitter._gap, Subgroup.contains
 
     def counted_direct_sum(groups):
         glues[-1][1].append(list(groups))
@@ -511,50 +503,57 @@ def test_glue_builds_its_gamma_complex_once(monkeypatch):
         glues.append((groups, []))
         return glue(inst, I, parts, sigmas)
 
-    def counted_gap(a, b, only_a, only_b=None):
-        seen["comparisons"] += 1
-        depth[0] += 1
-        try:
-            return gap(a, b, only_a, only_b)
-        finally:
-            depth[0] -= 1
-
-    def counted_contains(self, vec):
-        seen["scans"] += depth[0] > 0
-        return contains(self, vec)
-
     monkeypatch.setattr(splitter, "direct_sum", counted_direct_sum)
     monkeypatch.setattr(splitter, "glue_comaximal", counted_glue)
-    monkeypatch.setattr(splitter, "_gap", counted_gap)
-    monkeypatch.setattr(Subgroup, "contains", counted_contains)
     insts = [diamond_instance()[0], stem_instance()[0], boolean_instance(3)]
     for inst in insts:
         build_ideal_splitting(inst, validate=False)
-    # one glue each in the diamond and the stem, four in 2^3, and two
-    # Gamma comparisons per glue
+    # one glue each in the diamond and the stem, four in 2^3
     assert len(glues) == 6
-    assert seen["comparisons"] == 12 and seen["scans"] == 0
     for groups, calls in glues:
         assert calls == [groups[:2]]
 
 
-def test_glue_falls_back_to_all_parts_on_any_failure(monkeypatch):
+def counted_gamma0(monkeypatch):
+    """The number of parts of each Gamma0 the glue builds."""
+    widths = []
+    build = splitter.gamma0
+
+    def counted(parts):
+        widths.append(len(parts))
+        return build(parts)
+
+    monkeypatch.setattr(splitter, "gamma0", counted)
+    return widths
+
+
+def test_glue_falls_back_to_all_parts_only_when_two_miss(monkeypatch):
+    # three lower covers of top in (Z/2)^3, one coordinate each: every
+    # two of them miss K1(top)[n] (the join law fails, so only a forced
+    # build gets here) and all three reach it, so the glue runs on all
+    # three, and its result restricts to each of them
+    coords = {"bot": ((), ()), "a": ((0,), (0,)), "b": ((1,), (1,)),
+              "c": ((2,), (2,)), "top": ((0, 1, 2), (0, 1, 2))}
+    inst = poset_instance(FgGroup((), 3), FgGroup((2, 2, 2)), 2, coords,
+                          [("bot", x) for x in "abc"]
+                          + [(x, "top") for x in "abc"])
+    assert any(r.name.startswith("lattice-laws")
+               for r in validate_instance(inst).failures())
+    widths = counted_gamma0(monkeypatch)
+    fam = build_ideal_splitting(inst, validate=False)
+    assert widths == [2, 3]
+    assert verify_ideal_splitting(inst, fam).ok
+
+
+def test_glue_checks_its_result_against_every_part(monkeypatch):
     # with three parts the glue from the first two is kept when it
-    # restricts to the third; when those two disagree on their meet, or
-    # the third part disagrees, the glue from all three runs and reports
-    # the first pair that disagrees, as the all-parts glue always did
+    # restricts to all three; when the first or the third part's
+    # section disagrees, that one glue runs and names the part
     inst = boolean_instance(3)
     fam = build_ideal_splitting(inst)
     top = inst.order.top()
     parts = inst.order.maximal_subideals(top)
-    widths = []
-    check = splitter.check_gamma_exact
-
-    def counted(inst, I, parts):
-        widths.append(len(parts))
-        return check(inst, I, parts)
-
-    monkeypatch.setattr(splitter, "check_gamma_exact", counted)
+    widths = counted_gamma0(monkeypatch)
     assert glue_comaximal(inst, top, parts, fam.sigmas) == fam.sigma(top)
     assert widths == [2]
     messages = []
@@ -564,10 +563,28 @@ def test_glue_falls_back_to_all_parts_on_any_failure(monkeypatch):
                                                      fam.sigma(bad))}
         with pytest.raises(GluingError) as info:
             glue_comaximal(inst, top, parts, sigmas)
-        assert widths == [2, 3]
+        assert widths == [2]
         messages.append(str(info.value))
-    assert messages == ["sigmas at 's3' and 's5' disagree on their meet 's1'",
-                        "sigmas at 's3' and 's6' disagree on their meet 's2'"]
+    assert messages == [
+        "glued map at 'top' does not restrict to the section at 's3'",
+        "glued map at 'top' does not restrict to the section at 's6'"]
+
+
+def test_glue_rejects_a_restriction_map_it_cannot_build(monkeypatch):
+    inst, parts = diamond_instance()
+    sigmas = {i: natural_sigma(inst, parts, i) for i in ("a", "b")}
+    restrict = splitter.restriction_hom
+
+    def unbuildable(inst, lo, hi):
+        if (lo, hi) == ("b", "top"):
+            raise NotSubgroupError("no coordinates for K1(b)[n]")
+        return restrict(inst, lo, hi)
+
+    monkeypatch.setattr(splitter, "restriction_hom", unbuildable)
+    with pytest.raises(GluingError) as info:
+        glue_comaximal(inst, "top", ["a", "b"], sigmas)
+    assert str(info.value) == ("no restriction map from 'b' to 'top': "
+                               "no coordinates for K1(b)[n]")
 
 
 def test_two_lower_covers_glue_the_all_covers_family():
@@ -590,26 +607,37 @@ def test_two_lower_covers_glue_the_all_covers_family():
         for x in inst.order.nodes:
             for c1, c2 in itertools.combinations(
                     inst.order.maximal_subideals(x), 2):
-                assert check_gamma_exact(inst, x, [c1, c2]).ok, (name, x)
+                assert check_gamma_exact(inst, x, [c1, c2]) is None, \
+                    (name, x)
                 pairs += 1
         assert fam == all_covers_family(inst), name
     assert pairs == 466
 
 
-def test_build_makes_one_pair_map_per_glue_and_checks_each_section_once(
+def test_build_glues_on_cover_edges_alone_and_checks_each_section_once(
         monkeypatch):
-    # counts, not timing: on a valid 2^4 every glue certifies one Gamma
-    # complex of two parts, so one pair map (24 from all the covers),
-    # and each ideal's section is certified once, not once per glue
-    # above it; the bottom's zero section is never glued from
+    # counts, not timing: on a valid 2^4 no glue checks a Gamma complex
+    # or asks the lattice for a meet, each builds one Gamma0 of two
+    # parts, the restriction maps read are exactly those of the cover
+    # edges, and each ideal's section is certified once, not once per
+    # glue above it; the bottom's zero section is never glued from
     inst = boolean_instance(4)
     assert validate_instance(inst).ok
-    widths, certified = [], []
-    check, memo = splitter.check_gamma_exact, KunnethInstance._memo
+    seen, read, certified = collections.Counter(), set(), []
+    check, meet = splitter.check_gamma_exact, IdealLattice.meet
+    restrict, memo = splitter.restriction_hom, KunnethInstance._memo
 
     def counted_check(inst, I, parts):
-        widths.append(len(parts))
+        seen["gamma checks"] += 1
         return check(inst, I, parts)
+
+    def counted_meet(self, a, b):
+        seen["meets"] += 1
+        return meet(self, a, b)
+
+    def counted_restrict(inst, lo, hi):
+        read.add((lo, hi))
+        return restrict(inst, lo, hi)
 
     def counted_memo(self, key, fn):
         if key[0] == "section" and key not in self._cache:
@@ -617,11 +645,16 @@ def test_build_makes_one_pair_map_per_glue_and_checks_each_section_once(
         return memo(self, key, fn)
 
     monkeypatch.setattr(splitter, "check_gamma_exact", counted_check)
+    monkeypatch.setattr(IdealLattice, "meet", counted_meet)
+    monkeypatch.setattr(splitter, "restriction_hom", counted_restrict)
     monkeypatch.setattr(KunnethInstance, "_memo", counted_memo)
+    widths = counted_gamma0(monkeypatch)
     build_ideal_splitting(inst, validate=False)
     glues = [x for x in inst.order.nodes
              if len(inst.order.maximal_subideals(x)) > 1]
     assert widths == [2] * len(glues) and len(glues) == 11
+    assert seen == {}
+    assert read == set(inst.order.cover_edges()) and len(read) == 32
     assert sorted(certified) == sorted(
         set(inst.order.nodes) - {inst.order.bottom()})
 
@@ -799,6 +832,7 @@ def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
     no_top = no_top_instance()
     agrees(no_top, build_ideal_splitting(no_top, validate=False))
     agrees(shrunk_a, build_ideal_splitting(stem))
+    diamond_fam = build_ideal_splitting(diamond)
     restrict = splitter.restriction_hom
 
     def unbuildable(inst, lo, hi):
@@ -807,8 +841,8 @@ def test_verify_coherence_agrees_with_the_pairwise_scan(monkeypatch):
         return restrict(inst, lo, hi)
 
     monkeypatch.setattr(splitter, "restriction_hom", unbuildable)
-    agrees(diamond, build_ideal_splitting(diamond))
-    assert seen == {"coherent": 26, "incoherent": 52, "forced": 21}
+    agrees(diamond, diamond_fam)
+    assert seen == {"coherent": 31, "incoherent": 52, "forced": 26}
 
 
 def test_build_rejects_invalid_instance():
