@@ -7,9 +7,10 @@ applicable, any other library error), 2 the input could not be loaded
 or the arguments are bad, 3 the constructive builder and the exhaustive
 oracle disagreed, which is a bug trap and must never happen.
 
-All randomness flows from --seed; reports print as text by default and
-as canonical JSON with --format json; output documents go to stdout or
-to the --output path, written atomically.
+All randomness flows from --seed; check reports (validate, split and
+coherence-check) print as text by default and as canonical JSON with
+--format json; output documents go to stdout or to the --output path,
+written atomically.
 """
 
 import argparse
@@ -214,16 +215,18 @@ def build_parser():
                     "K-theory instances")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    # only the commands that print a check report read --format
+    def format_option(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if output:
-            p.add_argument("-o", "--output", default=None,
-                           help="write the result document here instead of "
-                                "stdout")
+
+    def output_option(p):
+        p.add_argument("-o", "--output", default=None,
+                       help="write the result document here instead of "
+                            "stdout")
 
     p = sub.add_parser("validate", help="run every structural check")
     p.add_argument("path")
-    common(p, output=False)
+    format_option(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("split", help="build and verify a splitting family")
@@ -234,7 +237,8 @@ def build_parser():
                    help="size bound for the exhaustive oracle")
     p.add_argument("--force", action="store_true",
                    help="skip validation and attempt the build anyway")
-    common(p)
+    format_option(p)
+    output_option(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("lift", help="lift an isomorphism pair to the "
@@ -242,7 +246,7 @@ def build_parser():
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("iso", help="iso-input document with phi0, phi1, pairing")
-    common(p)
+    output_option(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("gen", help="generate a deterministic fixture")
@@ -260,7 +264,7 @@ def build_parser():
     p.add_argument("--base", default=None,
                    help="instance file to mutate (default: aligned "
                         "instance from --seed)")
-    common(p)
+    output_option(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("gamma-check",
@@ -270,13 +274,12 @@ def build_parser():
     p.add_argument("--ideal", required=True)
     p.add_argument("--parts", required=True,
                    help="comma-separated maximal subideal ids")
-    common(p, output=False)
     p.set_defaults(func=cmd_gamma_check)
 
     p = sub.add_parser("coherence-check",
                        help="check the multi-coefficient kappa relations")
     p.add_argument("path")
-    common(p, output=False)
+    format_option(p)
     p.set_defaults(func=cmd_coherence_check)
     return parser
 

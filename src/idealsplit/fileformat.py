@@ -30,6 +30,11 @@ MAX_RANK = 1024
 # joins, each found by intersecting two sets of up to N nodes, so
 # closing the order grows as N^3 in the node count.
 MAX_IDEALS = 256
+# Most coefficients a coherent family may list: check_coherence makes one
+# eq3 row per divisor triple, so its report grows as k^3 in the count k
+# (a gcd-closed chain of 100 took 15 s and printed 990,000 lines); 32
+# keep it under 32^3 rows.  The fixtures list at most 7.
+MAX_COEFFICIENTS = 32
 
 
 @contextmanager
@@ -307,8 +312,15 @@ def _pair_key(text, ns, where):
 def family_from_json(obj, data, where="coherent_family"):
     _check_keys(obj, where, ("coefficients", "coeff_groups", "kappa"),
                 optional=("lambda", "sigmas"))
-    ns = [_int(x, where + ".coefficients")
-          for x in _list(obj["coefficients"], where + ".coefficients")]
+    listed = _list(obj["coefficients"], where + ".coefficients")
+    if len(listed) > MAX_COEFFICIENTS:
+        raise SchemaError("%s.coefficients: %d coefficients exceed the "
+                          "limit %d" % (where, len(listed), MAX_COEFFICIENTS))
+    ns = [_int(x, where + ".coefficients") for x in listed]
+    twice = [n for i, n in enumerate(ns) if n in ns[:i]]
+    if twice:
+        raise SchemaError("%s.coefficients: %d is listed twice"
+                          % (where, twice[0]))
     groups = obj["coeff_groups"]
     _check_keys(groups, where + ".coeff_groups",
                 tuple(str(n) for n in sorted(ns)))

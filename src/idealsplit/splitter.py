@@ -9,9 +9,10 @@ gets the canonical solution of one congruence system (the only
 extension path; it is complete, so None means no extension exists), and
 an ideal with several maximal subideals is glued over Gamma0-preimages
 from two of them (from all of them only when two do not reach K1(I)[n]).
-The glue certifies its output, not its inputs: the result must be a
-section that restricts to every maximal subideal, and that check alone
-decides whether a glue exists (glue_comaximal has the proof).
+The glue certifies its output, not its inputs, by the verifier's own
+rows, so its "no" is a verify_ideal_splitting witness: the result must
+be a section that restricts to every maximal subideal, and that check
+alone decides whether a glue exists (glue_comaximal has the proof).
 check_gamma_exact certifies the Gamma complex itself, for the
 gamma-check command and the tests.  A section is certified once per
 instance.  The restriction maps iota(lo, hi), K1(lo)[n] inside
@@ -197,24 +198,52 @@ def restriction_hom(inst, lo, hi):
     return inst._memo(("restriction", lo, hi), build)
 
 
-def _check_is_splitting(inst, id, sig):
-    """NotASplittingError unless sig is a section for ideal id's row.
+def _domain_witness(inst, id, sig):
+    if sig.domain != inst.torsion_sub(id).as_group()[0]:
+        return "domain is not K1(%s)[n]" % (id,)
+    if sig.codomain != inst.coeff.Kn:
+        return "codomain is not Kn"
+    return None
 
-    A section that passes is remembered on the instance, so each is
-    certified once however many glues above id read it; a failure
-    raises and is not remembered.
-    """
+
+def _identity_witness(inst, id, sig):
+    _, incl, _ = inst.torsion_sub(id).as_group()
+    if inst.coeff.beta_tilde @ sig != incl:
+        return "beta_tilde . sigma != id on K1(%s)[n]" % (id,)
+    return None
+
+
+def _containment_witness(inst, id, sig):
+    return _gap(image(sig), inst.node(id).Kn_sub,
+                lambda g: "sigma image reaches %r outside Kn(%s)" % (g, id))
+
+
+# what "sig is a section at id" means: (report row, witness or None)
+_SECTION_CHECKS = (("family-domain", _domain_witness),
+                  ("splitting-identity", _identity_witness),
+                  ("containment", _containment_witness))
+
+
+def _restriction_witness(inst, lo, hi, sections):
+    """What "restricts" means: sigma_hi . iota(lo, hi) = sigma_lo, else
+    the witness; iota is read before ``sections()``, (sigma_hi, sigma_lo)."""
+    iota = restriction_hom(inst, lo, hi)
+    upper, lower = sections()
+    if upper @ iota != lower:
+        return ("sigma at %s restricted to K1(%s)[n] differs from sigma at %s"
+                % (hi, lo, lo))
+    return None
+
+
+def _check_is_splitting(inst, id, sig):
+    """NotASplittingError with the first failing _SECTION_CHECKS witness
+    unless sig is a section at id.  One that passes is remembered on the
+    instance, so each is certified once however many glues read it."""
     def certify():
-        g, incl, _ = inst.torsion_sub(id).as_group()
-        if sig.domain != g or sig.codomain != inst.coeff.Kn:
-            raise NotASplittingError(
-                "sigma for %r has the wrong domain or codomain" % (id,))
-        if inst.coeff.beta_tilde @ sig != incl:
-            raise NotASplittingError(
-                "beta_tilde . sigma is not the identity on K1(%s)[n]" % (id,))
-        if not image(sig) <= inst.node(id).Kn_sub:
-            raise NotASplittingError(
-                "sigma image escapes Kn(%s)" % (id,))
+        for _, witness in _SECTION_CHECKS:
+            why = witness(inst, id, sig)
+            if why is not None:
+                raise NotASplittingError(why)
         return True
     inst._memo(("section", id, sig), certify)
 
@@ -269,10 +298,9 @@ def glue_comaximal(inst, I, parts, sigmas):
     """Assemble sigma_I from sections at a comaximal family of parts.
 
     The parts' sections are checked, then the family.  The glue is kept
-    only when it is a section at I and sigma_I . iota(c, I) = sigma_c
-    for every part c; a GluingError names what failed.  So the result
-    is certified, not the inputs (check_gamma_exact certifies the Gamma
-    complex, for the gamma-check command).
+    only when it passes the verifier's rows, _SECTION_CHECKS at I and
+    _restriction_witness from every part; a GluingError carries the
+    failing witness.  So the result is certified, not the inputs.
 
     The check decides whether a glue exists.  When the Gamma0 used
     reaches K1(I)[n], any section tau at I that restricts to every part
@@ -310,13 +338,12 @@ def glue_comaximal(inst, I, parts, sigmas):
         raise GluingError("glued map is not a section at %r: %s" % (I, exc))
     for c in parts:
         try:
-            iota = restriction_hom(inst, c, I)
+            why = _restriction_witness(inst, c, I, lambda: (sigma, sigmas[c]))
         except NotSubgroupError as exc:
             raise GluingError("no restriction map from %r to %r: %s"
                               % (c, I, exc))
-        if sigma @ iota != sigmas[c]:
-            raise GluingError("glued map at %r does not restrict to the "
-                              "section at %r" % (I, c))
+        if why is not None:
+            raise GluingError("glued map at %r: %s" % (I, why))
     return sigma
 
 
@@ -365,12 +392,11 @@ def build_ideal_splitting(inst, validate=True):
 def verify_ideal_splitting(inst, fam):
     """Re-check a family against its instance, however it was produced.
 
-    The ``coherence:lo<hi`` checks, one per comparable pair, are first
-    settled together on the cover edges: when sigma_hi . iota(lo, hi) =
-    sigma_lo holds on every cover edge (lo, hi), each pair is recorded
-    as passed.  When some edge's check fails or raises an
-    IdealSplitError, each pair is checked on its own, with the same
-    names, verdicts and witnesses.
+    Its rows are the builder's own checks: _SECTION_CHECKS at each ideal,
+    then ``coherence:lo<hi`` by _restriction_witness for each comparable
+    pair.  The pairs are first settled together on the cover edges; when
+    some edge fails or raises an IdealSplitError, each pair is checked
+    on its own, with the same names, verdicts and witnesses.
 
     Why the cover edges decide every pair: a comparable pair lo < hi is
     a chain lo = c0 < c1 < ... < ck = hi of cover edges.  Each edge's
@@ -382,55 +408,28 @@ def verify_ideal_splitting(inst, fam):
     sigma_lo.  Cover edges are pairs themselves, so the certificate
     fails exactly when some pair fails, and the report is the pairwise
     scan's either way.  It needs no top, and it looks up one
-    restriction map per cover edge, where the scan looks up one per
-    pair.
+    restriction map per cover edge, not one per pair.
     """
     results = []
     run = check_runner(results)
     ids = list(inst.order.nodes)
-    for i in ids:
-        def domain_ok(i=i):
-            sig = fam.sigma(i)
-            g, _, _ = inst.torsion_sub(i).as_group()
-            if sig.domain != g:
-                return "domain is not K1(%s)[n]" % (i,)
-            if sig.codomain != inst.coeff.Kn:
-                return "codomain is not Kn"
-            return None
-        run("family-domain:%s" % i, domain_ok)
-    for i in ids:
-        def splits(i=i):
-            sig = fam.sigma(i)
-            _, incl, _ = inst.torsion_sub(i).as_group()
-            if inst.coeff.beta_tilde @ sig != incl:
-                return "beta_tilde . sigma != id on K1(%s)[n]" % (i,)
-            return None
-        run("splitting-identity:%s" % i, splits)
-    for i in ids:
-        run("containment:%s" % i,
-            lambda i=i: _gap(image(fam.sigma(i)), inst.node(i).Kn_sub,
-                             lambda g: "sigma image reaches %r outside Kn(%s)"
-                             % (g, i)))
+    for name, witness in _SECTION_CHECKS:
+        for i in ids:
+            run("%s:%s" % (name, i),
+                lambda i=i, witness=witness: witness(inst, i, fam.sigma(i)))
 
     def coherent(lo, hi):
-        def check():
-            iota = restriction_hom(inst, lo, hi)
-            if fam.sigma(hi) @ iota != fam.sigma(lo):
-                return ("sigma at %s restricted to K1(%s)[n] "
-                        "differs from sigma at %s" % (hi, lo, lo))
-            return None
-        return check
+        return lambda: _restriction_witness(
+            inst, lo, hi, lambda: (fam.sigma(hi), fam.sigma(lo)))
 
-    def edges_certify():
-        try:
-            return all(coherent(lo, hi)() is None
-                       for lo, hi in inst.order.cover_edges())
-        except IdealSplitError:
-            return False
-
+    try:
+        edges = all(coherent(lo, hi)() is None
+                    for lo, hi in inst.order.cover_edges())
+    except IdealSplitError:
+        edges = False
     run.certified([("coherence:%s<%s" % (lo, hi), coherent(lo, hi))
                    for lo in ids for hi in ids
-                   if lo != hi and inst.order.leq(lo, hi)], edges_certify())
+                   if lo != hi and inst.order.leq(lo, hi)], edges)
     return ValidationReport(results)
 
 

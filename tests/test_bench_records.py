@@ -6,10 +6,12 @@ summaries were assembled by hand, so this recomputes each one: every
 side's median and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``, rounded to 6 places), the pairs the change won
 (ties count for neither side), and ``median_change``, change over parent
-minus one, rounded to 4 places.  Some records divided the medians as
-rounded to 6 places and some the exact ones, which can differ in the
-fourth place, so either is accepted.  BENCH_21.json predates quartiles
-in the summary and is not checked.
+minus one from the medians rounded to 6 places, to 4 places.  That is
+the rule tools/benchpairs.py writes.  BENCH_31.json alone divided the
+exact medians, which differs in the fourth place once (dp-chain
+``setup_s`` -0.0416 where the rounded medians give -0.0417), so for it
+the exact rule is accepted too.  BENCH_21.json predates quartiles in the
+summary and is not checked.
 """
 
 import json
@@ -29,13 +31,15 @@ def side_summary(values):
             "q3": round(q3, 6)}
 
 
-def median_changes(parent, change):
-    """change/parent - 1 to 4 places, from the rounded and the exact
-    medians."""
-    return {round(round(statistics.median(change), 6)
-                  / round(statistics.median(parent), 6) - 1, 4),
-            round(statistics.median(change) / statistics.median(parent)
-                  - 1, 4)}
+def median_changes(parent, change, exact_too):
+    """change/parent - 1 to 4 places from the rounded medians, and from
+    the exact ones when ``exact_too``."""
+    rules = {round(round(statistics.median(change), 6)
+                   / round(statistics.median(parent), 6) - 1, 4)}
+    if exact_too:
+        rules.add(round(statistics.median(change)
+                        / statistics.median(parent) - 1, 4))
+    return rules
 
 
 def test_bench_summaries_recompute_from_their_runs():
@@ -64,10 +68,11 @@ def test_bench_summaries_recompute_from_their_runs():
                 wanted = dict(summary[metric])
                 assert wanted.pop("median_change") in median_changes(
                     list(values["parent"].values()),
-                    list(values["change"].values())), (path.name, metric)
+                    list(values["change"].values()),
+                    path.name == "BENCH_31.json"), (path.name, metric)
                 assert got == wanted, (path.name, workload, metric)
                 sides += 2
     assert skipped == ["BENCH_21.json"]
-    assert {"BENCH_%d.json" % n for n in (25, 27, 31, 32, 33, 34)} \
+    assert {"BENCH_%d.json" % n for n in (25, 27, 31, 32, 33, 34, 35, 36)} \
         <= set(checked)
     assert sides == 40 * len(checked)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from idealsplit import fileformat
 from idealsplit.cli import main
 from idealsplit.errors import SplittingObstructionError
 from idealsplit.fgab import FgGroup, GroupHom
@@ -584,3 +585,33 @@ def test_module_entry_point_runs_main():
                           timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: idealsplit ")
+
+
+def test_coherence_check_bounds_the_coefficient_list(tmp_path, capsys):
+    # check_coherence's rows grow as the cube of the coefficient count,
+    # so a longer list, or one naming a coefficient twice, is refused
+    # before any per-coefficient work
+    limit = fileformat.MAX_COEFFICIENTS
+    for listed, message in (
+            (list(range(2, limit + 3)),
+             "%d coefficients exceed the limit %d" % (limit + 1, limit)),
+            ([2] * 200000, "200000 coefficients exceed the limit %d" % limit),
+            ([2, 4, 2], "2 is listed twice")):
+        doc = family_doc()
+        doc["coherent_family"]["coefficients"] = listed
+        assert run_coherence_check(tmp_path, capsys, doc) == (
+            2, "", "error: instance.coherent_family.coefficients: %s\n"
+            % message)
+
+
+def test_format_is_offered_only_where_a_report_is_printed(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_file(str(path), instance_to_json(diamond24()))
+    for argv in (["gen", "aligned", "--format", "json"],
+                 ["lift", str(path), str(path), str(path), "--format",
+                  "json"],
+                 ["gamma-check", str(path), "--ideal", "top", "--parts",
+                  "a,b", "--format", "json"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments: --format json" in \
+            capsys.readouterr().err

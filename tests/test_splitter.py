@@ -315,8 +315,7 @@ def test_glue_rejects_a_part_that_is_not_a_section():
               "b": natural_sigma(inst, parts, "b")}
     with pytest.raises(NotASplittingError) as info:
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
-    assert str(info.value) == \
-        "beta_tilde . sigma is not the identity on K1(a)[n]"
+    assert str(info.value) == "beta_tilde . sigma != id on K1(a)[n]"
 
 
 def test_a_certified_section_vouches_for_no_other():
@@ -330,8 +329,7 @@ def test_a_certified_section_vouches_for_no_other():
     with pytest.raises(NotASplittingError) as info:
         glue_comaximal(inst, "top", ["a", "b"],
                        {**sigmas, "a": GroupHom.zero(g_a, inst.coeff.Kn)})
-    assert str(info.value) == \
-        "beta_tilde . sigma is not the identity on K1(a)[n]"
+    assert str(info.value) == "beta_tilde . sigma != id on K1(a)[n]"
 
 
 def test_glue_rejects_a_part_whose_image_escapes():
@@ -347,7 +345,8 @@ def test_glue_rejects_a_part_whose_image_escapes():
     sigmas = {"a": bad, "b": natural_sigma(inst, parts, "b")}
     with pytest.raises(NotASplittingError) as info:
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
-    assert str(info.value) == "sigma image escapes Kn(a)"
+    assert str(info.value) == \
+        "sigma image reaches (0, 1, 1, 0) outside Kn(a)"
 
 
 def test_glue_rejects_a_part_with_the_wrong_domain():
@@ -356,7 +355,7 @@ def test_glue_rejects_a_part_with_the_wrong_domain():
               "b": natural_sigma(inst, parts, "b")}
     with pytest.raises(NotASplittingError) as info:
         glue_comaximal(inst, "top", ["a", "b"], sigmas)
-    assert str(info.value) == "sigma for 'a' has the wrong domain or codomain"
+    assert str(info.value) == "domain is not K1(a)[n]"
 
 
 def test_glue_guards_a_missing_gamma0_preimage(monkeypatch):
@@ -389,7 +388,7 @@ def test_unvalidated_build_certifies_each_step():
     for inst, message in (
             (chain, "no extension of the section at 'a' to 'top'"),
             (diamond, "glued map is not a section at 'top': "
-             "sigma image escapes Kn(top)")):
+             "sigma image reaches (0, 0, 1, 0) outside Kn(top)")):
         bad = shrunk_kn(inst, "top")
         assert "monotonicity:a<top" in [
             r.name for r in validate_instance(bad).failures()]
@@ -441,8 +440,8 @@ def test_glue_rejects_incoherent_sigmas():
     with pytest.raises(GluingError) as info:
         glue_comaximal(inst, "top", ["a", "b"],
                        {"a": sigma_a, "b": sigma_b})
-    assert str(info.value) == \
-        "glued map at 'top' does not restrict to the section at 'a'"
+    assert str(info.value) == ("glued map at 'top': sigma at top restricted "
+                               "to K1(a)[n] differs from sigma at a")
 
 
 def test_glue_rejects_unreachable_target():
@@ -566,8 +565,8 @@ def test_glue_checks_its_result_against_every_part(monkeypatch):
         assert widths == [2]
         messages.append(str(info.value))
     assert messages == [
-        "glued map at 'top' does not restrict to the section at 's3'",
-        "glued map at 'top' does not restrict to the section at 's6'"]
+        "glued map at 'top': sigma at top restricted to K1(%s)[n] differs "
+        "from sigma at %s" % (bad, bad) for bad in ("s3", "s6")]
 
 
 def test_glue_rejects_a_restriction_map_it_cannot_build(monkeypatch):
@@ -1193,3 +1192,83 @@ def test_lift_rejects_a_middle_map_off_the_beta_square(monkeypatch):
     with pytest.raises(LiftHypothesisError) as info:
         lift_through(monkeypatch, theta)
     assert str(info.value) == "phi does not commute with beta_tilde"
+
+
+def test_every_builder_no_is_a_verifier_row(monkeypatch):
+    # each NotASplittingError and GluingError of the glue carries the
+    # witness of the verify_ideal_splitting row that fails for the family
+    # holding the rejected section: the inputs of the tests above, and
+    # the two planted lattice-law defects whose forced build fails a glue
+    def rows(inst, sigmas):
+        report = verify_ideal_splitting(inst, SplittingFamily(sigmas))
+        return {r.name: r.witness for r in report.results}
+
+    def with_glue(inst, I, parts, sigmas):
+        return {**sigmas, I: splitter._glue(inst, I, parts, sigmas)}
+
+    def restriction_no(inst, I, parts, sigmas, message):
+        found = rows(inst, with_glue(inst, I, parts, sigmas))
+        witness = next(w for w in (found["coherence:%s<%s" % (c, I)]
+                                   for c in parts) if w is not None)
+        assert message == "glued map at %r: %s" % (I, witness)
+
+    diamond, parts = diamond_instance()
+    honest = {i: natural_sigma(diamond, parts, i) for i in ("a", "b")}
+    g_a, incl_a, _ = diamond.torsion_sub("a").as_group()
+    escapes = (natural_sigma(diamond, parts, "top")
+               @ restriction_hom(diamond, "a", "top")
+               + parts.i1 @ GroupHom(parts.T1, parts.T, [[0, 0], [1, 0]])
+               @ incl_a)
+    for bad, name in ((GroupHom.zero(g_a, diamond.coeff.Kn),
+                       "splitting-identity:a"),
+                      (escapes, "containment:a"),
+                      (GroupHom.zero(parts.T1, diamond.coeff.Kn),
+                       "family-domain:a")):
+        sigmas = {**honest, "a": bad}
+        with pytest.raises(NotASplittingError) as info:
+            glue_comaximal(diamond, "top", ["a", "b"], sigmas)
+        assert str(info.value) == rows(diamond, sigmas)[name]
+
+    shrunk = shrunk_kn(diamond, "top")
+    below = build_ideal_splitting(diamond).sigmas
+    with pytest.raises(GluingError) as info:
+        build_ideal_splitting(shrunk, validate=False)
+    found = rows(shrunk, with_glue(shrunk, "top", ["a", "b"], below))
+    assert str(info.value) == ("glued map is not a section at 'top': "
+                               + found["containment:top"])
+
+    stem, parts = stem_instance()
+    _, incl_b, _ = stem.torsion_sub("b").as_group()
+    w = GroupHom(parts.T1, parts.T, [[1, 0], [0, 0]])
+    sigmas = {"a": natural_sigma(stem, parts, "a"),
+              "b": (parts.i2 @ incl_b) + (parts.i1 @ w @ incl_b)}
+    with pytest.raises(GluingError) as info:
+        glue_comaximal(stem, "top", ["a", "b"], sigmas)
+    restriction_no(stem, "top", ["a", "b"], sigmas, str(info.value))
+
+    cube = boolean_instance(3)
+    fam = build_ideal_splitting(cube)
+    top = cube.order.top()
+    covers = cube.order.maximal_subideals(top)
+    for bad in (covers[0], covers[2]):
+        sigmas = {**fam.sigmas,
+                  bad: shifted_section(cube, bad, fam.sigma(bad))}
+        with pytest.raises(GluingError) as info:
+            glue_comaximal(cube, top, covers, sigmas)
+        restriction_no(cube, top, covers, sigmas, str(info.value))
+
+    glues = []
+    glue = splitter.glue_comaximal
+
+    def recorded(inst, I, parts, sigmas):
+        glues.append((I, list(parts), dict(sigmas)))
+        return glue(inst, I, parts, sigmas)
+
+    monkeypatch.setattr(splitter, "glue_comaximal", recorded)
+    for seed in (5, 50):
+        planted = fixtures.plant_defect(random_instance(seed),
+                                        "break-lattice-law")
+        glues.clear()
+        with pytest.raises(GluingError) as info:
+            build_ideal_splitting(planted, validate=False)
+        restriction_no(planted, *glues[-1], str(info.value))
