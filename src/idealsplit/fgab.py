@@ -9,9 +9,10 @@ tuple comparison and keeps homomorphisms plain integer matrices.
 All arithmetic is exact and done in ``intmat``: subgroups are read off
 Hermite forms, abstract groups off Smith forms, and elements and homs
 (``hom_preimage``, ``solve_hom``) come from the congruence solver.  A
-map is built only where a caller applies it: purity compares the
-invariant factors of groups alone.  Kernels and images are the module
-functions ``kernel(f)`` and ``image(f)``.
+map is built only where a caller applies it: purity reads the pivots
+of a Hermite basis, and compares the invariant factors of groups only
+when those pivots do not certify a summand.  Kernels and images are the
+module functions ``kernel(f)`` and ``image(f)``.
 """
 
 import itertools
@@ -345,10 +346,14 @@ class Subgroup:
 
     def is_zero(self):
         # the canonical basis of the zero subgroup is the relation rows
-        return self == Subgroup.zero(self.ambient)
+        # d_i·e_i, one per torsion coordinate in column order
+        return self.generators == tuple(
+            tuple(d * x for x in e) for d, e in
+            zip(self.ambient.invariant_factors, self.ambient.gens()))
 
     def is_full(self):
-        return self == Subgroup.full(self.ambient)
+        # the canonical basis of the whole group is the identity rows
+        return self.generators == tuple(self.ambient.gens())
 
     def join(self, other):
         self._check_ambient(other)
@@ -409,12 +414,40 @@ class Subgroup:
         return group, incl, project
 
     def is_pure(self):
-        """Purity by comparing invariant factors.
+        """Purity from the pivots of the canonical basis, else by
+        comparing invariant factors.
 
         A subgroup H of a finitely generated G is pure iff it is a direct
         summand, and by Miyata (J. Math. Kyoto Univ. 7, 1967) that holds
         iff G is isomorphic to H + G/H, which canonical forms compare.
+        That takes three Smith forms, so it runs only when this cheaper
+        certificate fails: every row of ``generators`` has its pivot
+        equal to 1 or to the ambient order d_p at its column.  Then H is
+        a summand.  Let S be the unit-pivot columns and K the span of the
+        e_j with j not in S.
+
+        * A pivot equal to d_j belongs to the bare relation row d_j·e_j,
+          because the canonical Hermite form is unique.
+        * A unit-pivot row is r = e_p + s with s zero on S: Hermite
+          reduction above a pivot of 1 leaves 0.  So H + K = G.
+        * A lattice vector that is zero on S is a combination of the
+          bare rows alone, as its coefficient on a unit row is its entry
+          at that row's pivot.  At a torsion p in S, d_p·e_p - d_p·r is
+          such a vector, so d_p·r = 0 in G.
+        * A member of H that lies in K has coefficient a_r = 0 mod d_p on
+          each unit row (a_r = 0 at a free pivot), so it is 0 in G.  So
+          H meet K = 0.
         """
+        orders = self.ambient.orders
+        j = 0
+        for row in self.generators:
+            while not row[j]:
+                j += 1
+            if row[j] != 1 and row[j] != orders[j]:
+                break
+            j += 1
+        else:
+            return True
         quo = _presentation(self.generators, gens=self.ambient.rank)[0]
         return _sum_presentation([self.as_group()[0], quo])[0] == self.ambient
 

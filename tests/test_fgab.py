@@ -373,6 +373,31 @@ def test_meet_join_trivial_cases():
     assert two.join(fgab.Subgroup.zero(Z)) == two
 
 
+def test_zero_and_full_build_no_subgroup(monkeypatch):
+    # the canonical rows of zero and of the whole group are known, so
+    # neither test constructs a subgroup to compare with
+    rng = random.Random(0xF6AD9)
+    subs = [random_subgroup(rng, random_group(rng, max_factors=2,
+                                              max_free=2), spread=2)
+            for _ in range(40)]
+    subs += [fgab.Subgroup.zero(s.ambient) for s in subs[:5]]
+    subs += [fgab.Subgroup.full(s.ambient) for s in subs[:5]]
+    expected = [(s == fgab.Subgroup.zero(s.ambient),
+                 s == fgab.Subgroup.full(s.ambient)) for s in subs]
+    built = []
+    init = fgab.Subgroup.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fgab.Subgroup, "__init__", counted)
+    assert [(s.is_zero(), s.is_full()) for s in subs] == expected
+    assert built == []
+    assert {True, False} <= {z for z, _ in expected} \
+        and {True, False} <= {f for _, f in expected}
+
+
 def test_meet_is_intersection_exhaustive():
     rng = random.Random(0xF6AB4)
     for _ in range(30):
@@ -699,6 +724,46 @@ def test_purity_builds_no_hom(monkeypatch):
     monkeypatch.setattr(fgab.GroupHom, "__init__", counted)
     verdicts = {sub.is_pure() for sub in subs}
     assert verdicts == {True, False} and built == []
+
+
+def miyata_smith_forms(monkeypatch):
+    """Record every Smith form made while ``Subgroup.is_pure`` is on the
+    stack: the certificate makes none, Miyata's test at least one."""
+    hits = []
+    smith = intmat.smith_form
+    code = fgab.Subgroup.is_pure.__code__
+
+    def wrapper(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is code:
+                hits.append(args)
+                break
+            frame = frame.f_back
+        return smith(*args, **kwargs)
+    monkeypatch.setattr(intmat, "smith_form", wrapper)
+    return hits
+
+
+def test_purity_certificate_agrees_with_retraction(monkeypatch):
+    # what the pivot certificate accepts must be a summand, and both the
+    # certificate and the Miyata fallback must decide many subgroups;
+    # an empty basis (zero in a free group) is pure with no pivot read
+    hits = miyata_smith_forms(monkeypatch)
+    rng = random.Random(0xF6AD7)
+    branches = {"certified": 0, "miyata": 0}
+    for _ in range(300):
+        g = random_group(rng, max_factors=2, max_free=2,
+                         factor_pool=(2, 3, 4))
+        sub = random_subgroup(rng, g, spread=3)
+        before = len(hits)
+        pure = sub.is_pure()
+        certified = len(hits) == before
+        assert pure == retraction_pure(sub)
+        assert pure or not certified
+        if sub.generators:
+            branches["certified" if certified else "miyata"] += 1
+    assert min(branches.values()) >= 50, branches
 
 
 def test_bruteforce_purity_needs_finite_ambient():

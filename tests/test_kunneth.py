@@ -36,7 +36,7 @@ from idealsplit.kunneth import (CoeffGroup, CoherentFamily, IdealNode, KData,
 from idealsplit.lattice import IdealLattice
 
 from oracles import five_term_exact, scan_sub_eq
-from test_fgab import random_group, random_subgroup
+from test_fgab import miyata_smith_forms, random_group, random_subgroup
 from test_lattice import n5
 
 Z = FgGroup((), 1)
@@ -503,6 +503,33 @@ def test_valid_instances_never_scan_for_witnesses(monkeypatch):
     assert seen["equalities"] > 0
     assert seen["scans inside an equality"] == 0
     assert seen["hnf_rows without transform"] == seen["hnf_nonzero"] > 0
+
+
+def test_validation_purity_makes_no_smith_form(monkeypatch):
+    # each purity check of these valid instances, twisted or not, is
+    # settled by the pivot certificate: Miyata's test never runs
+    hits = miyata_smith_forms(monkeypatch)
+    cube = boolean_instance(4)
+    T, _ = cube.tensor()
+    T1, _ = cube.torsion()
+    twisted = fixtures.twist_instance(
+        cube, fixtures.random_hom(T1, T, random.Random(400)))
+    insts = [random_instance(s) for s in range(10)]
+    for inst in insts + [dp_truncation(2, 8, 7), twisted]:
+        assert validate_instance(inst).ok
+    assert hits == []
+
+
+def test_planted_purity_defect_fails_through_miyata(monkeypatch):
+    # a scaled torsion generator leaves a pivot that is neither 1 nor
+    # the order, so the verdict and its witness come from Miyata's test
+    hits = miyata_smith_forms(monkeypatch)
+    mutant = fixtures.plant_defect(random_instance(12, twist=False),
+                                   "break-purity")
+    failures = validate_instance(mutant).failures()
+    assert [(r.name, r.witness) for r in failures] == [
+        ("purity:K1:m0", "K1(m0) is not a pure subgroup")]
+    assert hits
 
 
 def test_every_check_returns_its_witness_or_none():
