@@ -74,5 +74,5 @@ def test_bench_summaries_recompute_from_their_runs():
                 sides += 2
     assert skipped == ["BENCH_21.json"]
     assert {"BENCH_%d.json" % n
-            for n in (25, 27, 31, 32, 33, 34, 35, 36, 38)} <= set(checked)
+            for n in (25, 27, 31, 32, 33, 34, 35, 36, 38, 40)} <= set(checked)
     assert sides == 40 * len(checked)

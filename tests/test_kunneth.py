@@ -21,8 +21,8 @@ import pytest
 from idealsplit import fixtures, intmat, kunneth, splitter
 from idealsplit.errors import (AmbientMismatchError,
                                DefectNotApplicableError, HomDefinitionError,
-                               LatticeError, MissingMapError,
-                               MissingSigmaError)
+                               IdealSplitError, LatticeError,
+                               MissingMapError, MissingSigmaError)
 from idealsplit.fgab import (FgGroup, GroupHom, Subgroup, direct_sum,
                              image_subgroup, kernel, n_torsion_group,
                              preimage_subgroup, tensor_zmod)
@@ -532,6 +532,145 @@ def test_planted_purity_defect_fails_through_miyata(monkeypatch):
     assert hits
 
 
+def middle_by_orders_spy(monkeypatch):
+    """Record each verdict of the order test behind the
+    ``ideal-exactness:middle`` checks: True settles the check, False
+    sends it on to the meet."""
+    verdicts = []
+    by_orders = kunneth._middle_by_orders
+
+    def spied(inst, i):
+        verdicts.append(by_orders(inst, i))
+        return verdicts[-1]
+    monkeypatch.setattr(kunneth, "_middle_by_orders", spied)
+    return verdicts
+
+
+def meet_middle(inst, i):
+    """ideal-exactness:middle:i decided by the meet alone: ker beta_tilde
+    meet Kn(i) against the image of the tensor subgroup, scanned both
+    ways, with a library error as its witness."""
+    try:
+        return scan_sub_eq(
+            inst.kernel_beta().meet(inst.node(i).Kn_sub),
+            image_subgroup(inst.coeff.rho_tilde, inst.tensor_sub(i)),
+            "ker beta_tilde in Kn(%s)" % i)
+    except IdealSplitError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def grown_kn(inst):
+    """inst with Kn(I) joined with rho_tilde(t), for the first ideal I
+    other than the bounds and the first generator t of K0 (x) Z/n
+    outside I's tensor subgroup; None when there is none.  Naturality
+    still holds at I, and the middle exactness fails there.  Planted
+    without validate_instance, so a wrong order test cannot steer it."""
+    T, _ = inst.tensor()
+    ends = (inst.order.bottom(), inst.order.top())
+    for i in (i for i in inst.order.nodes if i not in ends):
+        node = inst.node(i)
+        for t in T.gens():
+            if not inst.tensor_sub(i).contains(t):
+                extra = Subgroup(inst.coeff.Kn,
+                                 [list(inst.coeff.rho_tilde(t))])
+                return inst.with_replaced_node(IdealNode(
+                    i, node.K0_sub, node.K1_sub, node.Kn_sub.join(extra)))
+    return None
+
+
+def middle_cases():
+    """Seeds 0-59, twisted and aligned, with their exactness and
+    naturality defects and their grown_kn, and the twisted seeds'
+    row_variants; dp m = 4 and 8 and Boolean 2^3."""
+    cases = [dp_truncation(2, m, m - 1) for m in (4, 8)]
+    cases.append(boolean_instance(3))
+    for seed in range(60):
+        twisted, defects = random_with_defects(seed)
+        aligned_inst = random_instance(seed, twist=False)
+        for kind in ("break-exactness", "break-naturality"):
+            if kind in defects:
+                cases.append(defects[kind])
+            try:
+                cases.append(fixtures.plant_defect(aligned_inst, kind))
+            except DefectNotApplicableError:
+                pass
+        for inst in (twisted, aligned_inst):
+            cases += [x for x in (inst, grown_kn(inst)) if x is not None]
+        cases += row_variants(twisted, seed)
+    return cases
+
+
+def test_middle_exactness_by_orders_agrees_with_the_meet(monkeypatch):
+    # every ideal-exactness:middle row equals the meet comparison alone,
+    # verdict and witness; rho_image, mapped straight from
+    # K0(I), equals the image of the tensor subgroup wherever rho_tilde
+    # has the right ends; and the order test both settles rows and
+    # sends rows on to the meet, some of them after it was consulted
+    verdicts = middle_by_orders_spy(monkeypatch)
+    seen = collections.Counter()
+    for inst in middle_cases():
+        verdicts.clear()
+        report = validate_instance(inst)
+        rho_ok = report.find("hom-validity:rho_tilde").passed
+        for i in inst.order.nodes:
+            row = report.find("ideal-exactness:middle:%s" % i)
+            assert row.witness == meet_middle(inst, i), (inst, i)
+            if rho_ok:
+                assert inst.rho_image(i) == image_subgroup(
+                    inst.coeff.rho_tilde, inst.tensor_sub(i))
+        settled = verdicts.count(True)
+        seen["settled"] += settled
+        seen["refuted"] += verdicts.count(False)
+        seen["meet"] += len(inst.order.nodes) - settled
+        seen["failed"] += sum(not r.passed for r in report
+                              if r.name.startswith("ideal-exactness:middle:"))
+    assert seen["settled"] >= 50 and seen["meet"] >= 20, seen
+    assert seen["refuted"] >= 50 and seen["failed"] >= 50, seen
+
+
+def test_validation_builds_no_kernel_meet_or_tensor_subgroup(monkeypatch):
+    # counts, not timing: on these valid instances, twisted or not, the
+    # order test settles every middle exactness check, so no subgroup
+    # meet takes ker beta_tilde as an operand, and rho_image maps K0(I)
+    # straight into Kn without building the tensor subgroup
+    operands = []
+    meet = Subgroup.meet
+
+    def counted(self, other):
+        operands.append((self, other))
+        return meet(self, other)
+
+    monkeypatch.setattr(Subgroup, "meet", counted)
+    cube = boolean_instance(4)
+    T, _ = cube.tensor()
+    T1, _ = cube.torsion()
+    twisted = fixtures.twist_instance(
+        cube, fixtures.random_hom(T1, T, random.Random(400)))
+    insts = [random_instance(s) for s in range(10)]
+    meets = 0
+    for inst in insts + [dp_truncation(2, 8, 7), twisted]:
+        operands.clear()
+        assert validate_instance(inst).ok
+        ker = inst._cache["kernel_beta"]
+        assert not any(ker is x for pair in operands for x in pair)
+        assert not [key for key in inst._cache
+                    if isinstance(key, tuple) and key[0] == "tensor_sub"]
+        meets += len(operands)
+    assert meets > 0
+
+
+def test_planted_exactness_defect_fails_through_the_meet(monkeypatch):
+    # the planted Kn(m0) is too big: the order test applies, reads the
+    # orders apart, and the meet words the witness
+    mutant = fixtures.plant_defect(random_instance(22), "break-exactness")
+    verdicts = middle_by_orders_spy(monkeypatch)
+    failures = validate_instance(mutant).failures()
+    assert [(r.name, r.witness) for r in failures] == [
+        ("ideal-exactness:middle:m0",
+         "ker beta_tilde in Kn(m0): element (1,) only on the left")]
+    assert verdicts.count(False) == 1 and len(verdicts) == len(mutant.ideals)
+
+
 def test_every_check_returns_its_witness_or_none():
     # one contract for every check: it passed exactly when its witness
     # is None, and a failing witness is a non-empty str, so a check
@@ -659,6 +798,11 @@ def test_hom_validity_pins_all_four_witnesses():
             inst.data, bad, list(inst.ideals.values()), inst.order))
         check = report.find(name)
         assert (check.passed, check.witness) == (False, witness)
+        if witness == "domain is not K0 (x) Z/2":
+            # rho_image refuses a rho_tilde off the tensor group
+            assert report.find("naturality:rho:a").witness == (
+                "AmbientMismatchError: subgroup does not live in the hom "
+                "domain")
 
 
 def test_records_are_frozen_and_keep_their_equality():
@@ -766,6 +910,23 @@ def with_row(inst, rho=None, beta=None, kn_sub=None):
                            nodes, inst.order)
 
 
+def row_variants(inst, seed):
+    """inst with each row map zero or random (from Random(seed)), and
+    with the rows through K1[n] alone and K0 (x) Z/n alone."""
+    rng = random.Random(seed)
+    T, _ = inst.tensor()
+    T1, _ = inst.torsion()
+    Kn = inst.coeff.Kn
+    return [with_row(inst, rho=GroupHom.zero(T, Kn)),
+            with_row(inst, beta=GroupHom.zero(Kn, T1)),
+            with_row(inst, rho=fixtures.random_hom(T, Kn, rng)),
+            with_row(inst, beta=fixtures.random_hom(Kn, T1, rng)),
+            with_row(inst, GroupHom.zero(T, T1), GroupHom.identity(T1),
+                     inst.torsion_sub),
+            with_row(inst, GroupHom.identity(T), GroupHom.zero(T, T1),
+                     inst.tensor_sub)]
+
+
 def test_five_term_sequence_agrees_with_row_checks():
     # the five-term sequence is exact at K0, Kn and K1 exactly when the
     # short row is injective, exact in the middle and surjective.  Over
@@ -778,18 +939,7 @@ def test_five_term_sequence_agrees_with_row_checks():
         cases.append(inst)
         if "break-exactness" in defects:
             cases.append(defects["break-exactness"])
-        rng = random.Random(seed)
-        T, _ = inst.tensor()
-        T1, _ = inst.torsion()
-        Kn = inst.coeff.Kn
-        cases += [with_row(inst, rho=GroupHom.zero(T, Kn)),
-                  with_row(inst, beta=GroupHom.zero(Kn, T1)),
-                  with_row(inst, rho=fixtures.random_hom(T, Kn, rng)),
-                  with_row(inst, beta=fixtures.random_hom(Kn, T1, rng)),
-                  with_row(inst, GroupHom.zero(T, T1), GroupHom.identity(T1),
-                           inst.torsion_sub),
-                  with_row(inst, GroupHom.identity(T), GroupHom.zero(T, T1),
-                           inst.tensor_sub)]
+        cases += row_variants(inst, seed)
     names = ("sequence-exact:rho-injective", "sequence-exact:kernel-image",
              "sequence-exact:beta-surjective")
     seen = set()
