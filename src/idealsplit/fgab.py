@@ -7,7 +7,8 @@ Keeping every group in this one canonical shape makes group equality a
 tuple comparison and keeps homomorphisms plain integer matrices.
 
 All arithmetic is exact and done in ``intmat``: subgroups are read off
-Hermite forms, abstract groups off Smith forms, and elements and homs
+Hermite forms, abstract groups off their relations where those are
+diagonal and off Smith forms otherwise, and elements and homs
 (``hom_preimage``, ``solve_hom``) come from the congruence solver.  A
 map is built only where a caller applies it: purity reads the pivots
 of a Hermite basis, and compares the invariant factors of groups only
@@ -154,6 +155,51 @@ def _presentation(rel, gens):
     proj = [u[i][:] for i in kept]
     lift = [[uinv[r][i] for i in kept] for r in range(gens)]
     return group, proj, lift
+
+
+def _diagonal_smith(rel, gens):
+    """What ``_presentation``'s Smith form makes of a diagonal ``rel``,
+    read off without running it; None when ``rel`` is not diagonal or
+    the read-off does not apply.
+
+    Returns ``(diag, rows)``: ``diag`` holds the Smith diagonal, padded
+    with zeros to one entry per generator, and ``rows[t] = (i, s)``
+    says that row t of the transform ``u`` is s times the unit row e_i.
+
+    ``smith_form`` runs on ``transpose(rel)``, which is diagonal too.
+    Its pivot is the nonzero entry of least absolute value, the lowest
+    index on ties (a unit ends the scan, and is the first least entry
+    anyway).  On a diagonal matrix that entry is on the diagonal, and
+    the row and column swaps that bring it to (t, t) exchange two
+    diagonal entries, so the matrix stays diagonal.  The pivot's row
+    and column are zero elsewhere, so nothing is eliminated; a negative
+    pivot flips the sign of its row.  If the pivot divides every later
+    entry, step t ends there.  Otherwise ``smith_form`` adds a row,
+    which this read-off does not follow, so it returns None.  So on
+    every input it accepts, ``smith_form`` makes only swaps and sign
+    flips: ``u`` is the signed permutation ``rows``, and ``uinv`` is
+    its transpose.
+    """
+    for i, row in enumerate(rel):
+        if any(row[:i]) or any(row[i + 1:]):
+            return None
+    diag = [rel[t][t] if t < len(rel) else 0 for t in range(gens)]
+    rows = [(t, 1) for t in range(gens)]
+    for t in range(gens):
+        p = -1
+        for i in range(t, gens):
+            if diag[i] and (p < 0 or abs(diag[i]) < abs(diag[p])):
+                p = i
+        if p < 0:
+            break
+        diag[t], diag[p] = diag[p], diag[t]
+        rows[t], rows[p] = rows[p], rows[t]
+        if diag[t] < 0:
+            diag[t] = -diag[t]
+            rows[t] = (rows[t][0], -rows[t][1])
+        if any(x % diag[t] for x in diag[t + 1:]):
+            return None
+    return diag, rows
 
 
 class GroupHom:
@@ -382,10 +428,14 @@ class Subgroup:
         return self._group_cache[0]
 
     def _compute_group(self):
+        """``as_group`` from the coordinates of the ambient relations in
+        the canonical basis.  When they are diagonal, ``_diagonal_smith``
+        reads the presentation off them: the group from the diagonal,
+        and ``incl`` as the kept basis rows, each times its sign.
+        Otherwise ``_presentation`` takes their Smith form."""
         basis = self.generators
         k = len(basis)
         n = self.ambient.rank
-        bt = intmat.transpose(basis, n) if k else intmat.zeros(n, 0)
 
         def coords(vec):
             rest, coeffs = intmat.reduce_vector(vec, basis, track=True)
@@ -399,17 +449,31 @@ class Subgroup:
             if c is None:
                 raise NotSubgroupError("ambient relation escaped the lattice")
             rel.append(c)
-        group, proj, lift = _presentation(rel, gens=k)
-        incl_mat = intmat.matmul(bt, lift, bcols=group.rank)
-        if not incl_mat:
-            incl_mat = intmat.zeros(n, group.rank)
+        read = _diagonal_smith(rel, k)
+        if read is None:
+            # an empty rel is read off, so rel and basis are nonempty here
+            group, proj, lift = _presentation(rel, gens=k)
+            incl_mat = intmat.matmul(intmat.transpose(basis, n), lift,
+                                     bcols=group.rank)
+
+            def pick(c):
+                return intmat.matvec(proj, c)
+        else:
+            diag, rows = read
+            kept = [rows[t] for t in range(k) if diag[t] != 1]
+            group = FgGroup([d for d in diag if d > 1], diag.count(0))
+            incl_mat = intmat.transpose(
+                [[s * x for x in basis[i]] for i, s in kept], n)
+
+            def pick(c):
+                return [s * c[i] for i, s in kept]
         incl = GroupHom(group, self.ambient, incl_mat)
 
         def project(vec):
             c = coords(vec)
             if c is None:
                 return None
-            return group.reduce(intmat.matvec(proj, c) if group.rank else [])
+            return group.reduce(pick(c))
 
         return group, incl, project
 

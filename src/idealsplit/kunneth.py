@@ -13,8 +13,8 @@ IdealNode and ValidationReport are frozen dataclasses that type-check
 their fields in ``__post_init__``; the first three compare by value, a
 report by identity.  A check returns its witness text, or None when it
 passes, and :func:`check_runner` records it; every subgroup comparison
-is worded by :func:`_gap`.  The fixed check order makes reports
-byte-stable for identical inputs.
+is between subgroups of one group, and is worded by :func:`_gap`.  The
+fixed check order makes reports byte-stable for identical inputs.
 
 Multi-coefficient data lives in :class:`CoherentFamily`, whose kappa
 maps are checked against the three exact scalar relations
@@ -312,6 +312,8 @@ def _gap(a, b, only_a, only_b=None):
     and ``only_a`` or ``only_b`` words it.  A canonical generator needs
     no reduction: its torsion entries already lie in [0, d), and the
     relation rows, which lie in every subgroup, are never a witness.
+    Coordinates are compared as they stand: callers first check that a
+    and b live in one group.
     """
     if a == b:
         return None
@@ -448,9 +450,11 @@ def validate_instance(inst):
                     lambda g: "kernel contains %r" % (g,))
 
     def leq(a, b, label):
+        a._check_ambient(b)
         return _gap(a, b, lambda g: "%s: element %r escapes" % (label, g))
 
     def eq(a, b, label):
+        a._check_ambient(b)
         return _gap(a, b,
                     lambda g: "%s: element %r only on the left" % (label, g),
                     lambda g: "%s: element %r only on the right" % (label, g))

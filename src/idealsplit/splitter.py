@@ -175,7 +175,9 @@ def check_gamma_exact(inst, I, parts):
             g1_cols += transpose(pair.matrix, pair.domain.rank)
     except (NotSubgroupError, HomDefinitionError) as exc:
         return "meet data does not embed in the parts: %s" % (exc,)
-    gap = _gap(target, image(g0),
+    img = image(g0)
+    target._check_ambient(img)
+    gap = _gap(target, img,
                lambda v: "Gamma0 misses %r of K1(%s)[n]" % (v, I),
                lambda v: "Gamma0 image escapes K1(%s)[n] at %r" % (I, v))
     if gap is None:
@@ -214,7 +216,9 @@ def _identity_witness(inst, id, sig):
 
 
 def _containment_witness(inst, id, sig):
-    return _gap(image(sig), inst.node(id).Kn_sub,
+    img = image(sig)
+    img._check_ambient(inst.node(id).Kn_sub)
+    return _gap(img, inst.node(id).Kn_sub,
                 lambda g: "sigma image reaches %r outside Kn(%s)" % (g, id))
 
 

@@ -22,6 +22,7 @@ from idealsplit.errors import (
 )
 from idealsplit.fixtures import dp_truncation, random_instance
 from idealsplit.kunneth import validate_instance
+from idealsplit.splitter import build_ideal_splitting, verify_ideal_splitting
 from oracles import (column_coordinates_group, column_lattice,
                      is_pure_bruteforce, kernel_meet, pointwise_image,
                      quotient, quotient_preimage, retraction_pure,
@@ -516,6 +517,88 @@ def test_as_group_matches_column_coordinates():
                    for _ in range(3)]
         for x in probes:
             assert project(x) == ref_project(x)
+
+
+def test_diagonal_read_off_agrees_with_smith_form():
+    # wherever the read-off is taken it must be smith_form's (d, u, uinv)
+    # exactly; diagonal inputs with zeros, negatives, units and entries
+    # no pivot divides, and non-diagonal inputs, reach every branch
+    rng = random.Random(0xF6AE1)
+    pool = (0, 1, -1, 2, -2, 3, 4, -4, 6, 8, 12, 16)
+    branches = {"read off": 0, "not diagonal": 0, "no division": 0}
+    for _ in range(600):
+        m, k = rng.randint(0, 5), rng.randint(0, 5)
+        rel = [[rng.choice(pool) if i == j else 0 for j in range(k)]
+               for i in range(m)]
+        diagonal = True
+        if m and k and rng.random() < 0.25:
+            i, j = rng.randrange(m), rng.randrange(k)
+            rel[i][j] = rng.choice(pool)
+            diagonal = i == j or not rel[i][j]
+        read = fgab._diagonal_smith(rel, k)
+        if read is None:
+            branches["no division" if diagonal else "not diagonal"] += 1
+            continue
+        assert diagonal
+        branches["read off"] += 1
+        diag, rows = read
+        u = [[s if j == i else 0 for j in range(k)] for i, s in rows]
+        d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(k)]
+        assert intmat.smith_form(intmat.transpose(rel, k), cols=m) == (
+            d, u, intmat.transpose(u, k)), rel
+    assert min(branches.values()) >= 50, branches
+
+
+def test_as_group_agrees_with_the_smith_form_route(monkeypatch):
+    # as_group against _presentation's Smith form (the oracle's route),
+    # with both the read-off and the fallback taken many times
+    read_off = fgab._diagonal_smith
+    branches = {"read off": 0, "fallback": 0}
+
+    def counted(rel, gens):
+        read = read_off(rel, gens)
+        branches["fallback" if read is None else "read off"] += 1
+        return read
+    monkeypatch.setattr(fgab, "_diagonal_smith", counted)
+    rng = random.Random(0xF6AE2)
+    for _ in range(250):
+        g = random_group(rng, max_factors=3, max_free=1,
+                         factor_pool=(2, 3, 4))
+        sub = random_subgroup(rng, g, spread=6)
+        grp, incl, project = sub.as_group()
+        ref_grp, ref_incl, ref_project = column_coordinates_group(sub)
+        assert (grp, incl.matrix) == (ref_grp, ref_incl.matrix)
+        probes = [incl(tuple(rng.randint(-3, 3) for _ in range(grp.rank)))
+                  for _ in range(3)]
+        probes += [tuple(rng.randint(-5, 5) for _ in range(g.rank))
+                   for _ in range(3)]
+        for x in probes:
+            assert project(x) == ref_project(x)
+    assert min(branches.values()) >= 50, branches
+
+
+def test_dp_build_makes_no_smith_form(monkeypatch):
+    # every relation matrix of the dp build is diagonal with dividing
+    # pivots, so its groups are read off; the fresh groups show the
+    # watch is live
+    inst = dp_truncation(2, 8, 7)
+    assert validate_instance(inst).ok
+    calls = {"smith_form": 0, "_compute_group": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(intmat, "smith_form")
+    count(fgab.Subgroup, "_compute_group")
+    fam = build_ideal_splitting(inst, validate=False)
+    assert calls["smith_form"] == 0 and calls["_compute_group"] > 0, calls
+    monkeypatch.undo()
+    assert verify_ideal_splitting(inst, fam).ok
 
 
 def test_subgroup_size_multiplicativity():

@@ -805,6 +805,29 @@ def test_hom_validity_pins_all_four_witnesses():
                 "domain")
 
 
+def test_comparisons_across_groups_fail_with_an_ambient_mismatch():
+    # rho_tilde lands in (Z/4)^4 while Kn = (Z/2)^4: same rank, other
+    # group.  Each row that compares its image with a subgroup of Kn
+    # fails on the mismatch, where comparing coordinates let every
+    # naturality:rho row pass and named (2, 0, 0, 0), zero in Kn, as
+    # the witness of middle:b and middle:bot
+    inst, parts = diamond_instance()
+    coeff = inst.coeff
+    z4 = FgGroup((4,) * coeff.Kn.rank)
+    bad = CoeffGroup(2, coeff.Kn, GroupHom.zero(parts.T, z4),
+                     coeff.beta_tilde)
+    report = validate_instance(KunnethInstance(
+        inst.data, bad, list(inst.ideals.values()), inst.order))
+    mismatch = "AmbientMismatchError: subgroups live in different ambients"
+    ids = ["a", "b", "bot", "top"]
+    assert [(r.name, r.witness) for r in report.failures()] == [
+        ("hom-validity:rho_tilde", "codomain is not Kn"),
+        ("sequence-exact:rho-injective", "kernel contains (1, 0)"),
+        ("sequence-exact:kernel-image", mismatch)] + [
+        ("naturality:rho:%s" % i, mismatch) for i in ids] + [
+        ("ideal-exactness:middle:%s" % i, mismatch) for i in ids]
+
+
 def test_records_are_frozen_and_keep_their_equality():
     inst, _ = diamond_instance()
     data, coeff, node = inst.data, inst.coeff, inst.node("a")
